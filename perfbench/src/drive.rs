@@ -19,6 +19,7 @@
 
 use pitex_live::UpdateOp;
 use pitex_serve::{QueryRequest, ReloadReply, Request, Response, ServeClient, TraceRequest};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -274,18 +275,20 @@ fn join_all(
     Ok(recs)
 }
 
-/// `callers` closed-loop callers cycling through `ops` for `window`.
+/// `callers` closed-loop callers taking `ops` in order from a shared
+/// cursor: cycling through them for `window`, or, with no window, exactly
+/// once.
 pub fn closed_loop(
     target: Target,
     clock: Clock,
     phase: &'static str,
     callers: usize,
     ops: &[Op],
-    window: Duration,
+    window: Option<Duration>,
     trace: bool,
 ) -> std::io::Result<Vec<Rec>> {
     let cursor = AtomicUsize::new(0);
-    let end = clock.now() + window.as_nanos() as u64;
+    let end = window.map(|w| clock.now() + w.as_nanos() as u64);
     std::thread::scope(|scope| {
         let handles = (0..callers)
             .map(|_| {
@@ -294,8 +297,15 @@ pub fn closed_loop(
                     let mut client = target.connect()?;
                     let mut recs = Vec::new();
                     let mut last_done = None;
-                    while clock.now() < end {
+                    loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let more = match end {
+                            Some(end) => clock.now() < end,
+                            None => i < ops.len(),
+                        };
+                        if !more {
+                            break;
+                        }
                         let ready = last_done.unwrap_or_else(|| clock.now());
                         let op = &ops[i % ops.len()];
                         let rec = send(
@@ -317,9 +327,13 @@ pub fn closed_loop(
     })
 }
 
+/// `((user, k), tags, spread bits)` of a served answer.
+pub type ServedAnswer = ((u32, usize), Vec<u32>, u64);
+
 /// What a pipelined phase did. It keeps counts instead of one [`Rec`] per
 /// request (hundreds of thousands of them would dominate the process's
-/// memory); every OK answer is checked as it arrives.
+/// memory), and each distinct OK answer once, with how often it came, for
+/// the oracle to check after the phase.
 #[derive(Default)]
 pub struct Tally {
     pub sent: u64,
@@ -327,17 +341,52 @@ pub struct Tally {
     pub busy: u64,
     pub error: u64,
     pub transport: u64,
-    pub mismatched: u64,
-    /// Per batch: the generator's own lateness (send minus the previous
-    /// batch's completion).
-    pub late_ns: Vec<f64>,
-    /// Per batch: `(sent, done, OK replies)`.
+    /// Each distinct OK answer, and how many replies carried it.
+    pub answers: HashMap<ServedAnswer, u64>,
+    /// The generator's own lateness per batch (send minus the previous
+    /// batch's completion), counted in 1 µs bins, the last bin holding
+    /// everything beyond: a record of fixed size, so the phase's own
+    /// memory does not grow with its throughput.
+    pub late_us: Vec<u64>,
+    /// Per batch, when traced: `(sent, done, OK replies)`.
     pub batches: Vec<(u64, u64, u64)>,
 }
 
+/// Bins of [`Tally::late_us`] (the last one collects lateness of 100 ms
+/// and more).
+const LATE_BINS: usize = 100_000;
+
+impl Tally {
+    pub fn merge(&mut self, t: Tally) {
+        self.sent += t.sent;
+        self.ok += t.ok;
+        self.busy += t.busy;
+        self.error += t.error;
+        self.transport += t.transport;
+        for (answer, n) in t.answers {
+            *self.answers.entry(answer).or_default() += n;
+        }
+        self.late_us.resize(LATE_BINS, 0);
+        for (sum, n) in self.late_us.iter_mut().zip(t.late_us) {
+            *sum += n;
+        }
+        self.batches.extend(t.batches);
+    }
+
+    /// The recorded lateness, one value (ns, the middle of its bin) per
+    /// batch.
+    pub fn late_ns(&self) -> Vec<f64> {
+        let mut values = Vec::new();
+        for (us, &n) in self.late_us.iter().enumerate() {
+            values.extend(std::iter::repeat_n((us as f64 + 0.5) * 1e3, n as usize));
+        }
+        values
+    }
+}
+
 /// `callers` closed-loop connections, each keeping `depth` pipelined
-/// requests in flight, cycling through `ops` for `window`. `expected`
-/// says whether an OK answer is right.
+/// requests in flight, cycling through `ops` (queries) for `window`.
+/// `trace` keeps every batch's send and completion times.
 #[allow(clippy::too_many_arguments)]
 pub fn pipelined(
     target: Target,
@@ -346,7 +395,7 @@ pub fn pipelined(
     depth: usize,
     ops: &[Op],
     window: Duration,
-    expected: &(dyn Fn(&Op, &Answer) -> bool + Sync),
+    trace: bool,
 ) -> std::io::Result<Tally> {
     let end = clock.now() + window.as_nanos() as u64;
     std::thread::scope(|scope| {
@@ -354,7 +403,7 @@ pub fn pipelined(
             .map(|c| {
                 scope.spawn(move || -> std::io::Result<Tally> {
                     let mut client = target.connect()?;
-                    let mut tally = Tally::default();
+                    let mut tally = Tally { late_us: vec![0; LATE_BINS], ..Tally::default() };
                     let mut pos = c * ops.len() / callers.max(1);
                     let mut last_done = None;
                     while clock.now() < end {
@@ -363,9 +412,8 @@ pub fn pipelined(
                         let requests: Vec<Request> =
                             batch.iter().map(|op| op.request(false)).collect();
                         let sent_ns = clock.now();
-                        tally
-                            .late_ns
-                            .push(last_done.map_or(0.0, |d| sent_ns.saturating_sub(d) as f64));
+                        let late_us = last_done.map_or(0, |d| sent_ns.saturating_sub(d) / 1000);
+                        tally.late_us[(late_us as usize).min(LATE_BINS - 1)] += 1;
                         let result = client.pipeline(&requests);
                         let done_ns = clock.now();
                         last_done = Some(done_ns);
@@ -375,7 +423,9 @@ pub fn pipelined(
                             Err(_) => {
                                 let _ = client.reconnect();
                                 tally.transport += depth as u64;
-                                tally.batches.push((sent_ns, done_ns, 0));
+                                if trace {
+                                    tally.batches.push((sent_ns, done_ns, 0));
+                                }
                                 continue;
                             }
                         };
@@ -384,14 +434,22 @@ pub fn pipelined(
                             match classify(Ok(reply)) {
                                 (Status::Ok, Some(answer), ..) => {
                                     ok += 1;
-                                    tally.mismatched += u64::from(!expected(op, &answer));
+                                    let Op::Query { user, k } = *op else {
+                                        unreachable!("the pipelined phase sends queries only")
+                                    };
+                                    *tally
+                                        .answers
+                                        .entry(((user, k), answer.tags, answer.spread_bits))
+                                        .or_default() += 1;
                                 }
                                 (Status::Busy, ..) => tally.busy += 1,
                                 _ => tally.error += 1,
                             }
                         }
                         tally.ok += ok;
-                        tally.batches.push((sent_ns, done_ns, ok));
+                        if trace {
+                            tally.batches.push((sent_ns, done_ns, ok));
+                        }
                     }
                     Ok(tally)
                 })
@@ -399,15 +457,7 @@ pub fn pipelined(
             .collect();
         let mut total = Tally::default();
         for handle in handles {
-            let t = handle.join().expect("load-generator thread panicked")?;
-            total.sent += t.sent;
-            total.ok += t.ok;
-            total.busy += t.busy;
-            total.error += t.error;
-            total.transport += t.transport;
-            total.mismatched += t.mismatched;
-            total.late_ns.extend(t.late_ns);
-            total.batches.extend(t.batches);
+            total.merge(handle.join().expect("load-generator thread panicked")?);
         }
         Ok(total)
     })

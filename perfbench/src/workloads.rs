@@ -28,17 +28,15 @@ const INDEX_SEED: u64 = 0x1d3e_5eed;
 /// Deployments set up per run: at least `SETUP_MIN`, and more while the
 /// set-ups so far took under `SETUP_BUDGET_NS` (a set-up of a few
 /// milliseconds is noisy), at most `SETUP_MAX`. `setup_s` is their median.
-const SETUP_MIN: usize = 5;
+const SETUP_MIN: usize = 7;
 const SETUP_MAX: usize = 50;
-const SETUP_BUDGET_NS: u64 = 1_000_000_000;
+const SETUP_BUDGET_NS: u64 = 2_000_000_000;
 /// `UPDATE` batches (each followed by a `RELOAD`) of the write tail that
 /// online-lazy and hot-routed run after their timed phases.
 const TAIL_BATCHES: usize = 16;
 const BATCH: usize = 16;
 /// Round trips per unloaded probe (pings, routed-vs-direct hop).
 const PROBE_COUNT: usize = 200;
-/// Slices of the pipelined phase whose median rate is `throughput_qps`.
-const RATE_SLICES: usize = 10;
 /// `(user, W*)` pairs the estimator probes run on.
 const ESTIMATE_PAIRS: usize = 256;
 
@@ -50,8 +48,19 @@ const HOT_K: usize = 2;
 const HOT_USERS: usize = 64;
 const HOT_RATE: f64 = 1000.0;
 const HOT_DEPTH: usize = 16;
+/// Rounds the pipelined phase is split into; `throughput_qps` is the
+/// median of their rates.
+const HOT_ROUNDS: usize = 10;
 // index-writes
 const WRITES_K: usize = 3;
+/// One eligible user in this many goes to the closed passes.
+const WRITES_PASS_EVERY: usize = 3;
+/// Closed passes over that list; `throughput_qps` is their median rate.
+const WRITES_PASSES: usize = 5;
+/// Share of `--seconds` the open loop runs (the closed passes are fixed
+/// work: about 8 s on a 2-vCPU virtual machine).
+const WRITES_OPEN_SHARE: f64 = 2.0 / 3.0;
+const WRITES_QUERY_RATE: f64 = 100.0;
 const WRITES_UPDATE_RATE: f64 = 5.0;
 /// Updates per `RELOAD` in index-writes (one reload every ~3 s).
 const WRITES_BATCH: usize = 16;
@@ -166,23 +175,24 @@ fn boot(
     Ok((deployment, warmed, SetupTimes { total_ns, gen_ns, build_ns }))
 }
 
-/// Sets the deployment up repeatedly (see `SETUP_MIN`), keeping the last
-/// one.
-fn setup(
+/// Sets the deployment up again and stops it, until `times` holds enough
+/// set-ups (see `SETUP_MIN`). Runs after the timed phase and the resident
+/// memory reading, which therefore see only the first deployment.
+fn more_setups(
     plan: &Plan,
     out: &Path,
     warm: &dyn Fn(&Deployment) -> std::io::Result<Vec<Rec>>,
-) -> std::io::Result<(Deployment, Vec<Rec>, Vec<SetupTimes>)> {
-    let mut times: Vec<SetupTimes> = Vec::new();
+    times: &mut Vec<SetupTimes>,
+) -> std::io::Result<Vec<Rec>> {
     let mut warmed = Vec::new();
     loop {
+        let spent: u64 = times.iter().map(|t| t.total_ns).sum();
+        if times.len() >= SETUP_MAX || (times.len() >= SETUP_MIN && spent >= SETUP_BUDGET_NS) {
+            return Ok(warmed);
+        }
         let (deployment, recs, t) = boot(plan, out, warm)?;
         times.push(t);
         warmed.extend(recs);
-        let spent: u64 = times.iter().map(|t| t.total_ns).sum();
-        if times.len() >= SETUP_MAX || (times.len() >= SETUP_MIN && spent >= SETUP_BUDGET_NS) {
-            return Ok((deployment, warmed, times));
-        }
         deployment.stop();
     }
 }
@@ -341,16 +351,14 @@ struct Run {
     /// the pipelined phase, which only keeps a tally.
     recs: Vec<Rec>,
     pipelined: Option<drive::Tally>,
+    /// The closed-loop phases whose median rate is `throughput_qps`.
+    rates: Vec<Rate>,
     /// Phase whose per-request latency is `query_p50/p99_us`.
     latency_phase: &'static str,
     /// Length of the request list a closed-loop latency phase cycles
     /// through: latency counts whole passes only, so every run measures
     /// the same multiset of requests.
     cycle: Option<usize>,
-    /// Phase whose OK replies per second are `throughput_qps`, and its
-    /// length.
-    throughput_phase: &'static str,
-    throughput_window: Duration,
     /// Phases whose requests the generator scheduled (lateness, `gen.sent`).
     timed_phases: Vec<&'static str>,
     rss_mib: f64,
@@ -387,6 +395,52 @@ pub fn run(args: &Args, out: &Path) -> std::io::Result<Report> {
     finish(args, out, clock, run)
 }
 
+/// CPU time (user and system) the whole process has used, in seconds:
+/// `utime` and `stime` of `/proc/self/stat`, in clock ticks of 1/100 s.
+/// Time the hypervisor stole from the virtual CPUs is not counted.
+fn process_cpu_s() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let after_name = stat.rfind(')').map_or("", |i| &stat[i + 1..]);
+    let fields: Vec<&str> = after_name.split_whitespace().collect();
+    let ticks = |i: usize| fields.get(i).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+    // Fields 14 and 15 of the file, counted from the state (field 3).
+    (ticks(11) + ticks(12)) as f64 / 100.0
+}
+
+/// A closed-loop phase's OK query replies, its wall time and the CPU time
+/// the process used meanwhile.
+struct Rate {
+    phase: &'static str,
+    ok: u64,
+    wall_s: f64,
+    cpu_s: f64,
+}
+
+impl Rate {
+    /// Runs `phase`, whose result has `ok(..)` OK query replies.
+    fn measure<T>(
+        name: &'static str,
+        phase: impl FnOnce() -> std::io::Result<T>,
+        ok: impl Fn(&T) -> u64,
+    ) -> std::io::Result<(T, Rate)> {
+        let (cpu0, wall0) = (process_cpu_s(), Instant::now());
+        let result = phase()?;
+        let (cpu_s, wall_s) = (process_cpu_s() - cpu0, wall0.elapsed().as_secs_f64());
+        let rate = Rate { phase: name, ok: ok(&result), wall_s, cpu_s };
+        Ok((result, rate))
+    }
+
+    /// OK replies per CPU-second, times `nproc`: the rate of a phase that
+    /// keeps every CPU busy, had it had them to itself.
+    fn qps(&self) -> f64 {
+        self.ok as f64 / self.cpu_s * nproc() as f64
+    }
+}
+
+fn ok_query_count(recs: &[Rec]) -> u64 {
+    recs.iter().filter(|r| r.is_query() && r.status == Status::Ok).count() as u64
+}
+
 /// `(steal, total)` CPU ticks from `/proc/stat`, where available.
 fn cpu_ticks() -> Option<(u64, u64)> {
     let stat = std::fs::read_to_string("/proc/stat").ok()?;
@@ -405,7 +459,7 @@ fn online_lazy(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
         router: false,
         cache: 0,
     };
-    let (deployment, warmed, setups) = setup(&plan, out, &warm_pings)?;
+    let (deployment, warmed, setup) = boot(&plan, out, &warm_pings)?;
     let model = deployment.snap.model.clone();
     let eligible = eligible(&model);
 
@@ -426,22 +480,21 @@ fn online_lazy(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     let ops: Vec<Op> = users.iter().map(|&user| Op::Query { user, k: LAZY_K }).collect();
     let window = Duration::from_secs_f64(args.seconds);
     let mut recs = warmed;
-    recs.extend(drive::closed_loop(
-        deployment.front(true),
-        clock,
+    let (closed, rate) = Rate::measure(
         "closed",
-        nproc(),
-        &ops,
-        window,
-        args.trace,
-    )?);
+        || {
+            let front = deployment.front(true);
+            drive::closed_loop(front, clock, "closed", nproc(), &ops, Some(window), args.trace)
+        },
+        |recs| ok_query_count(recs),
+    )?;
+    recs.extend(closed);
     let rss = rss_mib();
 
-    let mut run = Run::new(plan, deployment, setups, recs, rss);
+    let mut run = Run::new(plan, deployment, setup, recs, rss);
     run.latency_phase = "closed";
     run.cycle = Some(ops.len());
-    run.throughput_phase = "closed";
-    run.throughput_window = window;
+    run.rates = vec![rate];
     run.timed_phases = vec!["closed"];
     if args.trace {
         let direct = run.deployment.as_ref().expect("deployment is live").shard_target(0, true);
@@ -460,6 +513,8 @@ fn online_lazy(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     keys.sort_unstable();
     keys.dedup();
     run.stop();
+    let extra = more_setups(&run.plan, out, &warm_pings, &mut run.setups)?;
+    run.recs.extend(extra);
     let snap = Snapshot { model: model.clone(), index: None };
     run.ledger = keys
         .iter()
@@ -529,13 +584,22 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
         router: true,
         cache: 1024,
     };
-    // The hot set is drawn from the (deterministic) dataset by seed.
+    // The hot set is drawn from the (deterministic) dataset by seed, half
+    // from each shard, alternating in Zipf rank: every seed then splits
+    // the load between the shards alike (the shard map is a pure function
+    // of the user id and the shard count).
     let model = plan.profile.generate();
     let mut rng = Rng::new(args.seed, 2);
-    let mut hot = eligible(&model);
-    rng.shuffle(&mut hot);
-    hot.truncate(HOT_USERS);
+    let mut pool = eligible(&model);
+    rng.shuffle(&mut pool);
     drop(model);
+    let owners =
+        ShardMap::new(vec![vec!["127.0.0.1:1".to_string()]; plan.shards]).map_err(io_err)?;
+    let per_shard: Vec<Vec<u32>> = (0..plan.shards)
+        .map(|s| pool.iter().copied().filter(|&u| owners.shard_of(u) == s).collect())
+        .collect();
+    let hot: Vec<u32> =
+        (0..HOT_USERS).map(|i| per_shard[i % plan.shards][i / plan.shards]).collect();
     let warm = |d: &Deployment| -> std::io::Result<Vec<Rec>> {
         warm_pings(d)?;
         let mut client = d.front(true).connect()?;
@@ -546,7 +610,7 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
             })
             .collect())
     };
-    let (deployment, warmed, setups) = setup(&plan, out, &warm)?;
+    let (deployment, warmed, setup) = boot(&plan, out, &warm)?;
     let model = deployment.snap.model.clone();
 
     let zipf = Zipf::new(hot.len(), 1.0);
@@ -566,8 +630,26 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     let cycle: Vec<Op> =
         (0..4096).map(|_| Op::Query { user: hot[zipf.sample(&mut rng)], k: HOT_K }).collect();
 
-    // The reference answers of the hot keys, computed before the timed
-    // phases so the pipelined phase can check every reply as it lands.
+    let front = deployment.front(true);
+    let mut recs = warmed;
+    let start = clock.now() + 1_000_000;
+    recs.extend(drive::open_loop(front, clock, "open", nproc(), start, &schedule, args.trace)?);
+    let mut tally = drive::Tally::default();
+    let mut rates = Vec::new();
+    let round = half / HOT_ROUNDS as u32;
+    for _ in 0..HOT_ROUNDS {
+        let (t, rate) = Rate::measure(
+            "pipelined",
+            || drive::pipelined(front, clock, nproc(), HOT_DEPTH, &cycle, round, args.trace),
+            |t| t.ok,
+        )?;
+        tally.merge(t);
+        rates.push(rate);
+    }
+    let rss = rss_mib();
+
+    // The hot keys' reference answers, which also check the pipelined
+    // phase's answers.
     let keys: Vec<Key> = hot.iter().map(|&u| (u, HOT_K)).collect();
     let answers = oracle::answers(
         &deployment.snap,
@@ -577,28 +659,11 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
         nproc(),
         clock,
     );
-    let reference: HashMap<Key, RefAnswer> = keys.iter().copied().zip(answers).collect();
-    let expected = |op: &Op, answer: &drive::Answer| match op {
-        Op::Query { user, k } => reference
-            .get(&(*user, *k))
-            .is_some_and(|r| r.tags == answer.tags && r.spread_bits == answer.spread_bits),
-        _ => false,
-    };
-
-    let front = deployment.front(true);
-    let mut recs = warmed;
-    let start = clock.now() + 1_000_000;
-    recs.extend(drive::open_loop(front, clock, "open", nproc(), start, &schedule, args.trace)?);
-    let tally = drive::pipelined(front, clock, nproc(), HOT_DEPTH, &cycle, half, &expected)?;
-    let rss = rss_mib();
-
-    let mut run = Run::new(plan, deployment, setups, recs, rss);
+    let mut run = Run::new(plan, deployment, setup, recs, rss);
     run.pipelined = Some(tally);
-    run.ledger = reference.into_iter().collect();
-    run.ledger.sort_by_key(|(key, _)| *key);
+    run.ledger = keys.into_iter().zip(answers).collect();
     run.latency_phase = "open";
-    run.throughput_phase = "pipelined";
-    run.throughput_window = half;
+    run.rates = rates;
     run.timed_phases = vec!["open", "pipelined"];
     if args.trace {
         let d = run.deployment.as_ref().expect("deployment is live");
@@ -616,6 +681,8 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     run.recs.extend(write_tail(d.front(false), &tail, clock)?);
     run.batches = tail;
     run.stop();
+    let extra = more_setups(&run.plan, out, &warm, &mut run.setups)?;
+    run.recs.extend(extra);
     Ok(run)
 }
 
@@ -629,32 +696,48 @@ fn index_writes(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
         router: false,
         cache: ServeOptions::default().cache_capacity,
     };
-    let (deployment, warmed, setups) = setup(&plan, out, &warm_pings)?;
+    let (deployment, warmed, setup) = boot(&plan, out, &warm_pings)?;
     let model = deployment.snap.model.clone();
     let eligible = eligible(&model);
 
-    // Every eligible user queried exactly once, in a seeded order, at the
-    // arrival times of a Poisson process conditioned on that count (sorted
-    // uniform times), so each seed queries the same users, hubs included;
-    // Poisson updates, with a RELOAD right after every WRITES_BATCH-th.
-    let window = Duration::from_secs_f64(args.seconds);
-    let mut rng = Rng::new(args.seed, 3);
-    let mut users = eligible.clone();
-    rng.shuffle(&mut users);
-    let mut arrivals: Vec<u64> =
-        users.iter().map(|_| (rng.unit() * window.as_nanos() as f64) as u64).collect();
-    arrivals.sort_unstable();
-    let mut items: Vec<Scheduled> = arrivals
+    // The closed passes take every WRITES_PASS_EVERY-th eligible user, the
+    // same list for every seed, costliest (highest out-degree) first so
+    // the connections finish together. The open loop draws from the other
+    // users by seed, without replacement (no reply comes from the cache),
+    // at a fixed Poisson rate; Poisson updates, with a RELOAD right after
+    // every WRITES_BATCH-th.
+    let pass: Vec<Op> = eligible
         .iter()
-        .zip(&users)
-        .map(|(&due_ns, &user)| Scheduled { due_ns, op: Op::Query { user, k: WRITES_K } })
+        .step_by(WRITES_PASS_EVERY)
+        .map(|&user| Op::Query { user, k: WRITES_K })
         .collect();
-    let mut update_due = Vec::new();
-    let mut t = rng.exp(1.0 / WRITES_UPDATE_RATE);
-    while t < window.as_secs_f64() {
-        update_due.push((t * 1e9) as u64);
-        t += rng.exp(1.0 / WRITES_UPDATE_RATE);
-    }
+    let mut others: Vec<u32> = eligible
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % WRITES_PASS_EVERY != 0)
+        .map(|(_, &u)| u)
+        .collect();
+    let mut rng = Rng::new(args.seed, 3);
+    rng.shuffle(&mut others);
+    let window = Duration::from_secs_f64(args.seconds * WRITES_OPEN_SHARE);
+    let poisson = |rng: &mut Rng, rate: f64| -> Vec<u64> {
+        let mut due = Vec::new();
+        let mut t = rng.exp(1.0 / rate);
+        while t < window.as_secs_f64() {
+            due.push((t * 1e9) as u64);
+            t += rng.exp(1.0 / rate);
+        }
+        due
+    };
+    let mut items: Vec<Scheduled> = poisson(&mut rng, WRITES_QUERY_RATE)
+        .into_iter()
+        .enumerate()
+        .map(|(i, due_ns)| Scheduled {
+            due_ns,
+            op: Op::Query { user: others[i % others.len()], k: WRITES_K },
+        })
+        .collect();
+    let update_due = poisson(&mut rng, WRITES_UPDATE_RATE);
     let updates = edge_updates(&model, update_due.len(), &mut rng);
     for (n, (due_ns, op)) in update_due.into_iter().zip(updates).enumerate() {
         items.push(Scheduled { due_ns, op: Op::Update(op) });
@@ -664,17 +747,20 @@ fn index_writes(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     }
     items.sort_by_key(|s| s.due_ns);
 
+    let front = deployment.front(false);
     let mut recs = warmed;
+    let mut rates = Vec::new();
+    for _ in 0..WRITES_PASSES {
+        let (closed, rate) = Rate::measure(
+            "closed",
+            || drive::closed_loop(front, clock, "closed", nproc(), &pass, None, args.trace),
+            |recs| ok_query_count(recs),
+        )?;
+        rates.push(rate);
+        recs.extend(closed);
+    }
     let start = clock.now() + 1_000_000;
-    recs.extend(drive::open_loop(
-        deployment.front(false),
-        clock,
-        "open",
-        nproc(),
-        start,
-        &items,
-        args.trace,
-    )?);
+    recs.extend(drive::open_loop(front, clock, "open", nproc(), start, &items, args.trace)?);
     let rss = rss_mib();
 
     // The batches each acknowledged RELOAD folded, in order.
@@ -687,11 +773,10 @@ fn index_writes(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
             _ => {}
         }
     }
-    let mut run = Run::new(plan, deployment, setups, recs, rss);
+    let mut run = Run::new(plan, deployment, setup, recs, rss);
     run.latency_phase = "open";
-    run.throughput_phase = "open";
-    run.throughput_window = window;
-    run.timed_phases = vec!["open"];
+    run.rates = rates;
+    run.timed_phases = vec!["closed", "open"];
     run.batches = batches;
     if args.trace {
         let direct = run.deployment.as_ref().expect("deployment is live").shard_target(0, true);
@@ -705,12 +790,21 @@ fn index_writes(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
         }
     }
     run.stop();
+    let extra = more_setups(&run.plan, out, &warm_pings, &mut run.setups)?;
+    run.recs.extend(extra);
 
     if args.trace {
-        // The ledger: every scheduled query (every eligible user), answered
-        // at epoch 0.
-        let mut keys: Vec<Key> = eligible.iter().map(|&u| (u, WRITES_K)).collect();
+        // The ledger: every query of the timed phases, answered at epoch 0.
+        let mut keys: Vec<Key> = pass
+            .iter()
+            .chain(items.iter().map(|s| &s.op))
+            .filter_map(|op| match *op {
+                Op::Query { user, k } => Some((user, k)),
+                _ => None,
+            })
+            .collect();
         keys.sort_unstable();
+        keys.dedup();
         let index = run.snap.index.clone();
         let snap = Snapshot { model: model.clone(), index: index.clone() };
         let answers = oracle::answers(
@@ -853,7 +947,7 @@ impl Run {
     fn new(
         plan: Plan,
         deployment: Deployment,
-        setups: Vec<SetupTimes>,
+        setup: SetupTimes,
         recs: Vec<Rec>,
         rss_mib: f64,
     ) -> Self {
@@ -861,13 +955,12 @@ impl Run {
             plan,
             snap: deployment.snap.clone(),
             deployment: Some(deployment),
-            setups,
+            setups: vec![setup],
             recs,
             pipelined: None,
+            rates: Vec::new(),
             latency_phase: "",
             cycle: None,
-            throughput_phase: "",
-            throughput_window: Duration::ZERO,
             timed_phases: Vec::new(),
             rss_mib,
             batches: Vec::new(),
@@ -903,15 +996,24 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
         &run.batches,
         run.plan.backend,
         config,
-        preset,
+        preset.clone(),
         single_index_shard,
         nproc(),
         clock,
     );
+    // The pipelined phase's answers, against the epoch-0 reference.
     let tally = run.pipelined.take().unwrap_or_default();
+    let pipelined_mismatches: u64 = tally
+        .answers
+        .iter()
+        .filter(|((key, tags, bits), _)| {
+            preset.get(key).is_none_or(|r| r.tags != *tags || r.spread_bits != *bits)
+        })
+        .map(|(_, n)| n)
+        .sum();
     let failed_ops =
         run.recs.iter().filter(|r| r.status != Status::Ok).count() as u64 + tally.sent - tally.ok;
-    let mismatches = verdict.mismatches + tally.mismatched;
+    let mismatches = verdict.mismatches + pipelined_mismatches;
     let failed = failed_ops + mismatches;
     let attempted = run.recs.len() as u64 + tally.sent;
     let correct = mismatches == 0 && failed_ops == 0;
@@ -934,25 +1036,29 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
     }
     let timed: Vec<&Rec> =
         run.recs.iter().filter(|r| run.timed_phases.contains(&r.phase)).collect();
-    let mut all_late = ns_of(&timed, Rec::late_ns);
-    all_late.extend(&tally.late_ns);
-    let late_p99 = us(quantile(&all_late, 0.99));
+    // The generator's lateness p99 of its most delayed phase.
+    let mut late_p99 = 0.0f64;
     let sent = timed.len() as u64 + tally.sent;
     for phase in &run.timed_phases {
         let in_phase: Vec<&Rec> = timed.iter().copied().filter(|r| r.phase == *phase).collect();
         let (late, queued) = if *phase == "pipelined" {
-            (tally.late_ns.clone(), Vec::new())
+            (tally.late_ns(), Vec::new())
         } else {
             (ns_of(&in_phase, Rec::late_ns), ns_of(&in_phase, Rec::queued_ns))
         };
+        late_p99 = late_p99.max(us(quantile(&late, 0.99)));
         let behind = us(quantile(&late, 0.99)) > 1000.0;
+        let waited = queued.iter().filter(|&&q| q > 0.0).count();
+        let wait_q = |q| if queued.is_empty() { 0.0 } else { us(quantile(&queued, q)) };
         lines.push(format!(
-            "generator {phase}: own lateness p50 {:.1} us, p99 {:.1} us, max {:.1} us; waited for a busy connection: {} requests, p99 {:.1} us{}",
+            "generator {phase}: own lateness p50 {:.1} us, p99 {:.1} us, max {:.1} us; waited for a busy connection: {waited} of {} requests ({:.1}%), wait p50 {:.1} us, p99 {:.1} us{}",
             us(quantile(&late, 0.5)),
             us(quantile(&late, 0.99)),
             us(quantile(&late, 1.0)),
-            queued.iter().filter(|&&q| q > 0.0).count(),
-            if queued.is_empty() { 0.0 } else { us(quantile(&queued, 0.99)) },
+            queued.len(),
+            100.0 * waited as f64 / queued.len().max(1) as f64,
+            wait_q(0.5),
+            wait_q(0.99),
             if behind { " FLAG: generator fell behind its schedule" } else { "" }
         ));
     }
@@ -975,22 +1081,21 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
     }
     let latency = ns_of(&lat_recs, Rec::latency_ns);
     let (p50, p99) = (us(quantile(&latency, 0.5)), us(quantile(&latency, 0.99)));
-    let window = run.throughput_window.as_nanos() as u64;
-    let qps = if run.throughput_phase == "pipelined" {
-        let start = tally.batches.iter().map(|b| b.0).min().unwrap_or(0);
-        let slice = window / RATE_SLICES as u64;
-        let mut ok = [0u64; RATE_SLICES];
-        for &(_, done, n) in &tally.batches {
-            if let Some(slot) = ok.get_mut((done.saturating_sub(start) / slice) as usize) {
-                *slot += n;
-            }
-        }
-        median(&ok.iter().map(|&n| n as f64 * 1e9 / slice as f64).collect::<Vec<_>>())
-    } else {
-        let phase = ok_queries(run.throughput_phase);
-        let start = phase.iter().map(|r| r.intended_ns).min().unwrap_or(0);
-        phase.iter().filter(|r| r.done_ns <= start + window).count() as f64 * 1e9 / window as f64
-    };
+    if let Some(first) = run.rates.first() {
+        let list = |f: fn(&Rate) -> f64| -> String {
+            run.rates.iter().map(|r| format!("{:.0}", f(r))).collect::<Vec<_>>().join(" ")
+        };
+        lines.push(format!(
+            "throughput ({} phase, rounds: {}): OK replies per CPU-second x {}: {}; wall-clock OK replies/s: {}; CPU busy %: {}",
+            first.phase,
+            run.rates.len(),
+            nproc(),
+            list(Rate::qps),
+            list(|r| r.ok as f64 / r.wall_s),
+            list(|r| 100.0 * r.cpu_s / (r.wall_s * nproc() as f64)),
+        ));
+    }
+    let qps = median(&run.rates.iter().map(Rate::qps).collect::<Vec<_>>());
     let writes = |is: fn(&Op) -> bool| -> Vec<f64> {
         run.recs
             .iter()
@@ -1009,16 +1114,36 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
         p50,
         p99
     ));
-    lines.push(format!("writes: {} updates, {} reloads", update.len(), reload.len()));
-
+    let (update_p50, reload_p50) = (us(median(&update)), median(&reload) / 1e6);
+    lines.push(format!(
+        "writes: {} updates, round trip p50 {update_p50:.1} us; {} reloads, p50 {reload_p50:.2} ms",
+        update.len(),
+        reload.len()
+    ));
+    if let Some(window) = timed_window(&run.recs, run.latency_phase) {
+        let busy = |is: fn(&Op) -> bool| -> f64 {
+            let ns: u64 = run
+                .recs
+                .iter()
+                .filter(|r| r.phase == run.latency_phase && is(&r.op))
+                .map(Rec::rtt_ns)
+                .sum();
+            100.0 * ns as f64 / window as f64
+        };
+        let (updating, reloading) =
+            (busy(|op| matches!(op, Op::Update(_))), busy(|op| matches!(op, Op::Reload)));
+        if updating + reloading > 0.0 {
+            lines.push(format!(
+                "writes in the {} phase: an UPDATE was in flight {updating:.1}% and a RELOAD {reloading:.1}% of its wall time",
+                run.latency_phase
+            ));
+        }
+    }
     let mut metrics: Vec<(&'static str, f64, &'static str)> = Vec::new();
     if !args.trace {
         metrics = vec![
             ("setup_s", setup_s, "s"),
-            ("query_p50_us", p50, "us"),
             ("throughput_qps", qps, "1/s"),
-            ("update_p50_us", us(median(&update)), "us"),
-            ("reload_p50_ms", median(&reload) / 1e6, "ms"),
             ("rss_mib", run.rss_mib, "MiB"),
         ];
     } else {
@@ -1033,7 +1158,10 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
         metrics.extend(layer);
         metrics.extend(run.layer.iter().copied());
         metrics.extend([
+            ("query_p50_us", us(median(&untraced)), "us"),
             ("query_p99_us", p99, "us"),
+            ("update_p50_us", update_p50, "us"),
+            ("reload_p50_ms", reload_p50, "ms"),
             ("obs.trace_overhead_us", overhead, "us"),
             ("gen.late_p99_us", late_p99, "us"),
             ("gen.sent", sent as f64, "count"),
@@ -1050,6 +1178,14 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
     }
     lines.extend(run.notes.iter().cloned());
     Ok(Report { correct, attempted, failed, metrics, lines })
+}
+
+/// Wall time from the first due time to the last reply of `phase`.
+fn timed_window(recs: &[Rec], phase: &str) -> Option<u64> {
+    let in_phase = recs.iter().filter(|r| r.phase == phase);
+    let start = in_phase.clone().map(|r| r.intended_ns).min()?;
+    let end = in_phase.map(|r| r.done_ns).max()?;
+    Some(end.saturating_sub(start).max(1))
 }
 
 /// The per-layer metrics of a traced run.
