@@ -20,6 +20,7 @@
 use pitex_live::UpdateOp;
 use pitex_serve::{QueryRequest, ReloadReply, Request, Response, ServeClient, TraceRequest};
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -169,6 +170,50 @@ pub fn with_cpu_awake<T>(f: impl FnOnce() -> T) -> T {
         let out = f();
         stop.store(true, Ordering::Relaxed);
         out
+    })
+}
+
+/// Bytes of one ping-pong message: about a cached query's `PFRM` frame.
+const PING_BYTES: usize = 16;
+
+/// Round trips that `pairs` threads complete in `window`, each bouncing a
+/// small message off its own echo thread over loopback TCP. No program
+/// code runs: it measures what a wake-up and a few socket calls cost on
+/// this host at this moment, the work a cached routed query consists of.
+pub fn pingpong(pairs: usize, window: Duration) -> std::io::Result<u64> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    let mut links = Vec::new();
+    for _ in 0..pairs {
+        let client = std::net::TcpStream::connect(addr)?;
+        let (echo, _) = listener.accept()?;
+        client.set_nodelay(true)?;
+        echo.set_nodelay(true)?;
+        links.push((client, echo));
+    }
+    let end = Instant::now() + window;
+    std::thread::scope(|scope| {
+        let callers: Vec<_> = links
+            .into_iter()
+            .map(|(mut client, mut echo)| {
+                // Ends when the caller closes its side (or fails).
+                scope.spawn(move || {
+                    let mut buf = [0u8; PING_BYTES];
+                    while echo.read_exact(&mut buf).is_ok() && echo.write_all(&buf).is_ok() {}
+                });
+                scope.spawn(move || -> std::io::Result<u64> {
+                    let mut buf = [0u8; PING_BYTES];
+                    let mut round_trips = 0;
+                    while Instant::now() < end {
+                        client.write_all(&buf)?;
+                        client.read_exact(&mut buf)?;
+                        round_trips += 1;
+                    }
+                    Ok(round_trips)
+                })
+            })
+            .collect();
+        callers.into_iter().map(|h| h.join().expect("ping-pong thread panicked")).sum()
     })
 }
 

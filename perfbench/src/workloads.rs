@@ -47,10 +47,21 @@ const LAZY_STRATA: usize = 256;
 const HOT_K: usize = 2;
 const HOT_USERS: usize = 64;
 const HOT_RATE: f64 = 1000.0;
+/// Share of `--seconds` the open loop (phase A) runs; the pipelined phase
+/// (phase B) gets the rest, since its rate is the gated figure.
+const HOT_OPEN_SHARE: f64 = 1.0 / 3.0;
 const HOT_DEPTH: usize = 16;
 /// Rounds the pipelined phase is split into; `throughput_qps` is the
-/// median of their rates.
-const HOT_ROUNDS: usize = 10;
+/// median of their host-corrected rates. Each round spends its last
+/// third on a loopback ping-pong (see `PINGPONG_REFERENCE`).
+const HOT_ROUNDS: usize = 24;
+/// Loopback ping-pong round trips per CPU-second that hot-routed's rate
+/// is scaled to: about what a 2-vCPU virtual machine measured with its
+/// host quiet. A cached routed query is almost nothing but wake-ups and
+/// socket calls, whose cost on a shared host drifts by a fifth over
+/// minutes; the rate over the ping-pong's, measured right after it, does
+/// not drift with it (see `README.md`).
+const PINGPONG_REFERENCE: f64 = 75_000.0;
 // index-writes
 const WRITES_K: usize = 3;
 /// One eligible user in this many goes to the closed passes.
@@ -353,6 +364,9 @@ struct Run {
     pipelined: Option<drive::Tally>,
     /// The closed-loop phases whose median rate is `throughput_qps`.
     rates: Vec<Rate>,
+    /// A loopback ping-pong after each of `rates` (hot-routed), or none:
+    /// each rate is then scaled to `PINGPONG_REFERENCE`.
+    pingpong: Vec<Rate>,
     /// Phase whose per-request latency is `query_p50/p99_us`.
     latency_phase: &'static str,
     /// Length of the request list a closed-loop latency phase cycles
@@ -478,23 +492,29 @@ fn online_lazy(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
         })
         .collect();
     let ops: Vec<Op> = users.iter().map(|&user| Op::Query { user, k: LAZY_K }).collect();
+    // Whole passes over the list until `--seconds` is spent: a pass is
+    // fixed work, while a time window ends in a partial pass whose few
+    // hub queries (seconds each) moved the rate by several percent.
     let window = Duration::from_secs_f64(args.seconds);
+    let started = Instant::now();
+    let front = deployment.front(true);
     let mut recs = warmed;
-    let (closed, rate) = Rate::measure(
-        "closed",
-        || {
-            let front = deployment.front(true);
-            drive::closed_loop(front, clock, "closed", nproc(), &ops, Some(window), args.trace)
-        },
-        |recs| ok_query_count(recs),
-    )?;
-    recs.extend(closed);
+    let mut rates = Vec::new();
+    while rates.is_empty() || started.elapsed() < window {
+        let (pass, rate) = Rate::measure(
+            "closed",
+            || drive::closed_loop(front, clock, "closed", nproc(), &ops, None, args.trace),
+            |recs| ok_query_count(recs),
+        )?;
+        recs.extend(pass);
+        rates.push(rate);
+    }
     let rss = rss_mib();
 
     let mut run = Run::new(plan, deployment, setup, recs, rss);
     run.latency_phase = "closed";
     run.cycle = Some(ops.len());
-    run.rates = vec![rate];
+    run.rates = rates;
     run.timed_phases = vec!["closed"];
     if args.trace {
         let direct = run.deployment.as_ref().expect("deployment is live").shard_target(0, true);
@@ -614,12 +634,12 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     let model = deployment.snap.model.clone();
 
     let zipf = Zipf::new(hot.len(), 1.0);
-    let half = Duration::from_secs_f64(args.seconds / 2.0);
+    let open = args.seconds * HOT_OPEN_SHARE;
     let mut schedule = Vec::new();
     let mut t = 0.0;
     loop {
         t += rng.exp(1.0 / HOT_RATE);
-        if t >= half.as_secs_f64() {
+        if t >= open {
             break;
         }
         schedule.push(Scheduled {
@@ -636,15 +656,19 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     recs.extend(drive::open_loop(front, clock, "open", nproc(), start, &schedule, args.trace)?);
     let mut tally = drive::Tally::default();
     let mut rates = Vec::new();
-    let round = half / HOT_ROUNDS as u32;
+    let mut pingpong = Vec::new();
+    let round = Duration::from_secs_f64(args.seconds - open) / HOT_ROUNDS as u32;
+    let (work, reference) = (round * 2 / 3, round / 3);
     for _ in 0..HOT_ROUNDS {
         let (t, rate) = Rate::measure(
             "pipelined",
-            || drive::pipelined(front, clock, nproc(), HOT_DEPTH, &cycle, round, args.trace),
+            || drive::pipelined(front, clock, nproc(), HOT_DEPTH, &cycle, work, args.trace),
             |t| t.ok,
         )?;
         tally.merge(t);
         rates.push(rate);
+        let (_, host) = Rate::measure("ping-pong", || drive::pingpong(nproc(), reference), |&n| n)?;
+        pingpong.push(host);
     }
     let rss = rss_mib();
 
@@ -664,6 +688,7 @@ fn hot_routed(args: &Args, out: &Path, clock: Clock) -> std::io::Result<Run> {
     run.ledger = keys.into_iter().zip(answers).collect();
     run.latency_phase = "open";
     run.rates = rates;
+    run.pingpong = pingpong;
     run.timed_phases = vec!["open", "pipelined"];
     if args.trace {
         let d = run.deployment.as_ref().expect("deployment is live");
@@ -959,6 +984,7 @@ impl Run {
             recs,
             pipelined: None,
             rates: Vec::new(),
+            pingpong: Vec::new(),
             latency_phase: "",
             cycle: None,
             timed_phases: Vec::new(),
@@ -1095,7 +1121,20 @@ fn finish(args: &Args, out: &Path, clock: Clock, mut run: Run) -> std::io::Resul
             list(|r| 100.0 * r.cpu_s / (r.wall_s * nproc() as f64)),
         ));
     }
-    let qps = median(&run.rates.iter().map(Rate::qps).collect::<Vec<_>>());
+    let mut rates: Vec<f64> = run.rates.iter().map(Rate::qps).collect();
+    if !run.pingpong.is_empty() {
+        let per_cpu_s: Vec<f64> = run.pingpong.iter().map(|p| p.ok as f64 / p.cpu_s).collect();
+        for (rate, host) in rates.iter_mut().zip(&per_cpu_s) {
+            *rate *= PINGPONG_REFERENCE / host;
+        }
+        let list = |v: &[f64]| v.iter().map(|x| format!("{x:.0}")).collect::<Vec<_>>().join(" ");
+        lines.push(format!(
+            "throughput host reference: loopback ping-pong round trips per CPU-second after each round: {}; rate scaled to {PINGPONG_REFERENCE:.0} of them: {}",
+            list(&per_cpu_s),
+            list(&rates)
+        ));
+    }
+    let qps = median(&rates);
     let writes = |is: fn(&Op) -> bool| -> Vec<f64> {
         run.recs
             .iter()
