@@ -154,18 +154,17 @@ impl EdgeProbCache {
         self.epoch += 1;
     }
 
-    /// Returns the cached value for `e` or computes and stores it.
+    /// Returns the cached value for `e`, computing and storing it on a miss.
+    /// Both paths return the stored (`f32`-rounded) value, so every read of
+    /// an edge within one tag set sees the same probability.
     #[inline]
     pub fn get_or_insert_with<F: FnOnce() -> f64>(&mut self, e: EdgeId, compute: F) -> f64 {
         let i = e as usize;
-        if self.stamps[i] == self.epoch {
-            self.values[i] as f64
-        } else {
-            let v = compute();
+        if self.stamps[i] != self.epoch {
             self.stamps[i] = self.epoch;
-            self.values[i] = v as f32;
-            v
+            self.values[i] = compute() as f32;
         }
+        self.values[i] as f64
     }
 }
 
@@ -362,6 +361,17 @@ mod tests {
         let mut view = PosteriorEdgeProbs::new(&et, &post34, &mut cache);
         assert_eq!(view.prob(0), 0.0);
         assert!((view.prob(1) - 0.8 * (0.36 / 0.52)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn cache_returns_the_same_bits_on_miss_and_hit() {
+        // 0.1 is not an f32: the miss must already return the rounded value.
+        let mut cache = EdgeProbCache::new(1);
+        cache.begin();
+        let first = cache.get_or_insert_with(0, || 0.1);
+        let second = cache.get_or_insert_with(0, || unreachable!("served from the cache"));
+        assert_eq!(first.to_bits(), second.to_bits());
+        assert_eq!(first, 0.1f32 as f64);
     }
 
     #[test]
