@@ -13,6 +13,13 @@
 //! * `cluster_query_direct_cached_binary` / `cluster_query_router_cached_binary`
 //!   — the same two paths with the *client* leg also on `PFRM` binary
 //!   frames, so text parsing is off both hops end to end;
+//! * `cluster_pipeline_depth16_router_cached_binary` — 4 binary clients
+//!   each pipelining one batch of 16 cached queries through the router
+//!   per iteration (the routed twin of `bench_serve`'s
+//!   `serve_pipeline_depth16_cached`): each batch crosses the shard hop as
+//!   one pipelined exchange, not 16 round trips. The clients stay
+//!   connected across iterations — the router's acceptor polls, so a
+//!   fresh connection per iteration would time the poll interval;
 //! * `cluster_scatter_stats` — a full scatter-gather: every replica's
 //!   `STATS` fetched and merged (histograms bucket-wise);
 //! * `cluster_reload_barrier` — one `UPDATE` + the two-phase cluster
@@ -28,7 +35,9 @@ use pitex_cluster::{Router, RouterOptions, ShardMap};
 use pitex_core::{EngineBackend, EngineHandle, PitexConfig};
 use pitex_live::UpdateOp;
 use pitex_model::TicModel;
-use pitex_serve::{Response, ServeClient, ServeOptions, Server, ServerHandle};
+use pitex_serve::{
+    QueryRequest, Request, Response, ServeClient, ServeOptions, Server, ServerHandle,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,6 +81,21 @@ fn bench_cluster(c: &mut Criterion) {
     });
     c.bench_function("cluster_query_router_cached_binary", |b| {
         b.iter(|| expect_ok(routed_binary.query(0, 2).unwrap()))
+    });
+    let batch = vec![Request::Query(QueryRequest::new(0, 2)); 16];
+    let mut pipelined: Vec<ServeClient> =
+        (0..4).map(|_| ServeClient::connect_binary(router.addr()).unwrap()).collect();
+    c.bench_function("cluster_pipeline_depth16_router_cached_binary", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for client in &mut pipelined {
+                    let batch = &batch;
+                    scope.spawn(move || {
+                        client.pipeline(batch).unwrap().into_iter().for_each(expect_ok)
+                    });
+                }
+            })
+        })
     });
     c.bench_function("cluster_scatter_stats", |b| b.iter(|| routed.stats().unwrap()));
     c.bench_function("cluster_reload_barrier", |b| {

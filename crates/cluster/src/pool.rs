@@ -15,7 +15,12 @@
 //! Back-pressure is per shard: at most `max_in_flight` calls may be
 //! outstanding against one shard; beyond that the pool reports
 //! [`CallError::Saturated`] and the router sheds the request with `BUSY`,
-//! mirroring what a single `pitex_serve` does when its queue fills.
+//! mirroring what a single `pitex_serve` does when its queue fills. A
+//! pipelined [`exchange`](ShardPools::exchange) is one call: one checkout,
+//! one slot, however many frames it carries (the router keeps that at or
+//! below the shard's per-connection cap,
+//! [`DEFAULT_PIPELINE_CAP`](pitex_serve::DEFAULT_PIPELINE_CAP)), and it
+//! fails over as a whole.
 
 use crate::shardmap::ShardMap;
 use pitex_live::SyncBundle;
@@ -122,6 +127,46 @@ struct ShardPool {
     /// Round-robin cursor so consecutive calls spread over replicas.
     next: AtomicUsize,
     in_flight: AtomicUsize,
+}
+
+impl ShardPool {
+    /// Which replicas pass the health gate right now, each read once: bit
+    /// `r` set = replica `r` is up (healthy, or its cooldown expired). The
+    /// shard map caps a shard at
+    /// [`MAX_REPLICAS`](crate::shardmap::MAX_REPLICAS) = 64 replicas.
+    fn health(&self) -> u64 {
+        let now = Instant::now();
+        self.replicas
+            .iter()
+            .enumerate()
+            .fold(0, |up, (r, replica)| if replica.is_up(now) { up | 1 << r } else { up })
+    }
+}
+
+/// The replica a keyed call starts from under health mask `up` over `n`
+/// replicas: the `key % healthy`-th healthy replica in index order, so the
+/// favorite is a pure function of (key, healthy set). With every replica
+/// down the rotation covers the full list; the modulus then only decides
+/// the *starting point*, never membership.
+fn favorite_of(up: u64, n: usize, key: u64) -> usize {
+    let healthy = up.count_ones();
+    if healthy == 0 {
+        return (key % n.max(1) as u64) as usize;
+    }
+    let mut rest = up;
+    for _ in 0..key % u64::from(healthy) {
+        rest &= rest - 1; // drop the lowest healthy replica
+    }
+    rest.trailing_zeros() as usize
+}
+
+/// The failover order from `start` under health mask `up`: the rotation
+/// `start, start + 1, …` (mod `n`) over the healthy replicas, then the
+/// same rotation over the down-marked ones.
+fn rotation(up: u64, n: usize, start: usize) -> impl Iterator<Item = usize> {
+    let ring = (0..n).map(move |i| (start + i) % n);
+    let healthy = move |r: &usize| up & (1 << r) != 0;
+    ring.clone().filter(healthy).chain(ring.filter(move |r| !healthy(r)))
 }
 
 /// Decrements the shard's in-flight count on every exit path.
@@ -242,8 +287,9 @@ impl ShardPools {
         shard: usize,
         f: impl FnMut(&mut ServeClient) -> std::io::Result<T>,
     ) -> Result<T, CallError> {
-        let start = self.shards[shard].next.fetch_add(1, Ordering::Relaxed);
-        self.call_from(shard, start, f)
+        let pool = &self.shards[shard];
+        let start = pool.next.fetch_add(1, Ordering::Relaxed) % pool.replicas.len();
+        self.call_from(shard, pool.health(), start, f)
     }
 
     /// [`call`](Self::call) with **cache affinity**: the starting replica
@@ -260,29 +306,43 @@ impl ShardPools {
         f: impl FnMut(&mut ServeClient) -> std::io::Result<T>,
     ) -> Result<T, CallError> {
         let pool = &self.shards[shard];
-        let now = Instant::now();
-        let up = pool.replicas.iter().filter(|r| r.is_up(now)).count();
-        // With every replica down the rotation is over the full list; the
-        // modulus only decides the *starting point*, never membership.
-        let start = (key % pool.replicas.len().max(1) as u64) as usize;
-        let keyed = if up > 0 {
-            // Rotate over healthy slots: the i-th healthy replica (in index
-            // order) starting from `key % up`, so the favorite is a pure
-            // function of (key, healthy set).
-            let healthy: Vec<usize> =
-                (0..pool.replicas.len()).filter(|&r| pool.replicas[r].is_up(now)).collect();
-            healthy[(key % up as u64) as usize]
-        } else {
-            start
-        };
-        self.call_from(shard, keyed, f)
+        let up = pool.health();
+        self.call_from(shard, up, favorite_of(up, pool.replicas.len(), key), f)
     }
 
-    /// The shared failover body: tries replicas in rotation order from
-    /// `start`, healthy ones first.
+    /// The replica [`call_keyed`](Self::call_keyed) would try first for
+    /// `key` right now — what the router groups a burst by, so batching
+    /// does not move any key off its favorite.
+    pub fn favorite(&self, shard: usize, key: u64) -> usize {
+        let pool = &self.shards[shard];
+        favorite_of(pool.health(), pool.replicas.len(), key)
+    }
+
+    /// One pipelined exchange: `requests` go to one replica of `shard`,
+    /// starting at `start`, as a single [`ServeClient::pipeline`] batch,
+    /// and the replies come back in request order. The exchange is one
+    /// [`call`](Self::call): one checkout, one `max_in_flight` slot, and
+    /// on an I/O error the **whole** batch is retried on the next replica
+    /// (and counted as one failover). Only idempotent requests belong in
+    /// a batch; keep it at or below the shard's per-connection pipelining
+    /// cap, or the overflow answers `BUSY`.
+    pub fn exchange(
+        &self,
+        shard: usize,
+        start: usize,
+        requests: &[Request],
+    ) -> Result<Vec<Response>, CallError> {
+        self.call_from(shard, self.shards[shard].health(), start, |client| {
+            client.pipeline(requests)
+        })
+    }
+
+    /// The shared failover body: tries replicas in [`rotation`] order from
+    /// `start` under health mask `up`, healthy ones first.
     fn call_from<T>(
         &self,
         shard: usize,
+        up: u64,
         start: usize,
         mut f: impl FnMut(&mut ServeClient) -> std::io::Result<T>,
     ) -> Result<T, CallError> {
@@ -293,18 +353,9 @@ impl ShardPools {
         }
         let _guard = InFlightGuard(&pool.in_flight);
 
-        let n = pool.replicas.len();
-        let now = Instant::now();
-        // Rotation order from `start`, healthy replicas before down-marked
-        // ones.
-        let order: Vec<usize> = (0..n)
-            .map(|i| (start + i) % n)
-            .filter(|&r| pool.replicas[r].is_up(now))
-            .chain((0..n).map(|i| (start + i) % n).filter(|&r| !pool.replicas[r].is_up(now)))
-            .collect();
         let mut last_err = None;
         let mut attempts = 0;
-        for r in order {
+        for r in rotation(up, pool.replicas.len(), start) {
             let replica = &pool.replicas[r];
             attempts += 1;
             let mut client = match replica.take_idle() {
@@ -863,5 +914,81 @@ mod tests {
         assert_eq!(answer_of(b_addr, 0, 2).0, vec![0, 1], "pending detach folded in");
         a.stop().unwrap();
         b2.stop().unwrap();
+    }
+
+    /// The replica choice written the direct, allocating way: favorite =
+    /// `healthy[key % up]`, order = healthy rotation then down rotation.
+    /// The mask-based functions must agree with it exactly.
+    fn reference_choice(up: &[bool], key: u64, start: usize) -> (usize, Vec<usize>) {
+        let n = up.len();
+        let healthy: Vec<usize> = (0..n).filter(|&r| up[r]).collect();
+        let favorite = if healthy.is_empty() {
+            (key % n as u64) as usize
+        } else {
+            healthy[(key % healthy.len() as u64) as usize]
+        };
+        let order = (0..n)
+            .map(|i| (start + i) % n)
+            .filter(|&r| up[r])
+            .chain((0..n).map(|i| (start + i) % n).filter(|&r| !up[r]))
+            .collect();
+        (favorite, order)
+    }
+
+    #[test]
+    fn mask_replica_choice_matches_the_reference() {
+        for n in 1..=6usize {
+            for mask in 0u64..(1 << n) {
+                let up: Vec<bool> = (0..n).map(|r| mask & (1 << r) != 0).collect();
+                for key in [0u64, 1, 2, 3, 5, 7, 0x5EED, u64::MAX] {
+                    for start in 0..n {
+                        let (favorite, order) = reference_choice(&up, key, start);
+                        assert_eq!(favorite_of(mask, n, key), favorite, "n={n} mask={mask:b}");
+                        let got: Vec<usize> = rotation(mask, n, start).collect();
+                        assert_eq!(got, order, "n={n} mask={mask:b} start={start}");
+                    }
+                }
+            }
+        }
+        // The top replica of a full 64-replica shard is reachable.
+        assert_eq!(favorite_of(u64::MAX, 64, 63), 63);
+        assert_eq!(rotation(1 << 63, 64, 0).next(), Some(63));
+    }
+
+    #[test]
+    fn exchange_is_one_call_and_fails_over_as_a_whole() {
+        let a = boot();
+        let b = boot();
+        let map = map_of(vec![vec![a.addr().to_string(), b.addr().to_string()]]);
+        let pools = ShardPools::new(&map, PoolOptions::default());
+        let batch: Vec<Request> =
+            (0..5).map(|u| Request::Query(pitex_serve::QueryRequest::new(u, 2))).collect();
+        let expected: Vec<Response> = batch
+            .iter()
+            .map(|r| ServeClient::connect(a.addr()).unwrap().request(r).unwrap())
+            .collect();
+        let answers = |replies: &[Response]| -> Vec<(Vec<u32>, f64)> {
+            replies
+                .iter()
+                .map(|r| match r {
+                    Response::Ok(ok) => (ok.tags.clone(), ok.spread),
+                    other => panic!("expected OK, got {other:?}"),
+                })
+                .collect()
+        };
+
+        // Replica 0 takes the whole batch over one connection.
+        let replies = pools.exchange(0, 0, &batch).unwrap();
+        assert_eq!(answers(&replies), answers(&expected));
+        let on_a = ServeClient::connect(a.addr()).unwrap().stats().unwrap();
+        assert_eq!(on_a.get_u64("ok"), Some(10), "5 direct + 5 in the exchange");
+
+        // Kill it: the next exchange moves to replica 1 in one failover.
+        a.stop().unwrap();
+        let replies = pools.exchange(0, 0, &batch).unwrap();
+        assert_eq!(answers(&replies), answers(&expected));
+        assert_eq!(pools.failovers(), 1, "one failover for the whole batch");
+        assert_eq!(pools.replica_health(), (1, 2));
+        b.stop().unwrap();
     }
 }

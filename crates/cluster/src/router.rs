@@ -7,13 +7,21 @@
 //! * `QUERY u k [timeout_us] [backend]` / `EXPLAIN …` — routed to the
 //!   shard owning `u` ([`ShardMap::shard_of`]) through the health-gated
 //!   connection pools ([`ShardPools`]): a dead replica costs a transparent
-//!   failover, a saturated shard answers `BUSY`, and the reply line is
+//!   failover, a saturated shard answers `BUSY`, and the reply is
 //!   forwarded verbatim — including the backend operand (`auto` plans
 //!   shard-side, where the artifacts and the latency EWMAs live) and the
 //!   `EXPLAINED` decision trace. Within the owning shard the replica is
 //!   picked by hashing `(user, k)` over the *healthy* replicas
-//!   ([`ShardPools::call_keyed`]), so identical queries warm one replica's
-//!   result cache instead of spraying cold misses round-robin.
+//!   ([`ShardPools::favorite`]), so identical queries warm one replica's
+//!   result cache instead of spraying cold misses round-robin. Reads
+//!   travel in **runs**: a `PFRM` burst's consecutive `QUERY`/`EXPLAIN`
+//!   frames (any other verb ends a run) are grouped by (shard, favorite
+//!   replica) and each group goes out as one pipelined
+//!   [`ShardPools::exchange`] — one checkout, one in-flight slot, one
+//!   round trip — split at the shard's per-connection pipelining cap. A
+//!   text line is a run of one. Counters, latency, flight and capture
+//!   records stay per request; `router_hop_exchanges` and
+//!   `router_hop_frames` show how many frames each exchange carried.
 //! * `STATS` / `EPOCH` — scattered to every shard and merged: monotone
 //!   counters add, latency *histograms* merge bucket-wise (via the
 //!   `lat_hist` field; percentiles themselves do not add), and the epochs
@@ -67,8 +75,8 @@ use crate::shardmap::ShardMap;
 use pitex_live::UpdateOp;
 use pitex_serve::frame::{self, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
 use pitex_serve::{
-    http, CaptureAction, ErrorCode, FlightReply, FlightWireEntry, ReloadReply, Request, Response,
-    StatsReply, TraceReply, TraceRequest,
+    http, CaptureAction, ErrorCode, FlightReply, FlightWireEntry, QueryRequest, ReloadReply,
+    Request, Response, StatsReply, TraceReply, TraceRequest,
 };
 use pitex_support::obs::slo::{self, HealthVerdict, SloOptions, SloStatus, SloVerdict};
 use pitex_support::obs::timeseries::{SeriesRes, TimeSeriesStore, TsOptions};
@@ -161,6 +169,10 @@ struct Counters {
     scatters: Counter,
     updates: Counter,
     reloads: Counter,
+    /// Pipelined shard exchanges that forwarded `QUERY`/`EXPLAIN` runs.
+    hop_exchanges: Counter,
+    /// Frames those exchanges carried (frames per exchange = burst size).
+    hop_frames: Counter,
 }
 
 impl Counters {
@@ -173,6 +185,8 @@ impl Counters {
             scatters: registry.counter("router_scatters"),
             updates: registry.counter("router_updates"),
             reloads: registry.counter("router_reloads"),
+            hop_exchanges: registry.counter("router_hop_exchanges"),
+            hop_frames: registry.counter("router_hop_frames"),
         }
     }
 }
@@ -195,7 +209,8 @@ struct Shared {
     /// and the hop-latency histogram all export off this one table.
     registry: Registry,
     counters: Counters,
-    /// Router-observed `QUERY` service time (shard round-trip included).
+    /// Router-observed `QUERY` service time: the shard exchange each
+    /// answer rode, round trip included.
     latency: Arc<AtomicHistogram>,
     /// Rolling time-series over the router's *own* fields (`SERIES`,
     /// `GET /series`): a local sampler thread ticks once per configured
@@ -217,6 +232,11 @@ const POLL: Duration = Duration::from_millis(50);
 
 /// Longest accepted request line (mirrors the shard servers).
 const MAX_LINE_BYTES: usize = 4 * 1024;
+
+/// Most frames one shard exchange carries: the shards' default
+/// per-connection pipelining cap, so an exchange is never shed for depth.
+/// A longer group is split into several exchanges.
+const HOP_BATCH: usize = pitex_serve::DEFAULT_PIPELINE_CAP;
 
 /// Namespace for [`Router::spawn`].
 pub struct Router;
@@ -465,10 +485,12 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
 }
 
 /// The pipelined `PFRM` loop: each pass admits every complete frame
-/// buffered so far, routes them in arrival order (routing is synchronous —
-/// the pool call *is* the work), and flushes the burst's replies with one
-/// write. Mirrors the shard servers' blocking binary loop minus the worker
-/// pool hand-off.
+/// buffered so far and answers them in arrival order, then flushes the
+/// burst's replies with one write. Consecutive `QUERY`/`EXPLAIN` frames
+/// collect into a run that is forwarded as one pipelined exchange per
+/// (shard, replica) when the run ends — at any other verb, at a bad frame,
+/// or at the end of the burst — so writes and `QUIT` keep their place in
+/// the order.
 fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -477,8 +499,10 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
     let mut frames = FrameBuf::new(MAX_REQUEST_FRAME_BYTES);
     frames.extend(&head);
     let mut reader = stream;
-    let mut buf = [0u8; 16 * 1024];
+    // Large enough that one pass can admit a run past `HOP_BATCH` frames.
+    let mut buf = vec![0u8; 64 * 1024];
     let mut eof = false;
+    let mut run: Vec<(u64, Request)> = Vec::new();
     loop {
         let mut out: Vec<u8> = Vec::new();
         let mut close = false;
@@ -487,6 +511,7 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                 Ok(Some(payload)) => payload,
                 Ok(None) => break,
                 Err(FrameError::Oversized { len, cap }) => {
+                    forward_run(shared, &mut run, &mut out);
                     shared.counters.requests.inc();
                     shared.counters.errors.inc();
                     let response = Response::Err {
@@ -499,23 +524,32 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                 }
                 Err(_) => {
                     // Desynchronized mid-stream: no reply can be framed
-                    // reliably, so just close.
+                    // reliably, so answer what came before and close.
+                    forward_run(shared, &mut run, &mut out);
                     shared.counters.errors.inc();
                     close = true;
                     break;
                 }
             };
             match frame::decode_request(&payload) {
-                Ok((id, request)) => match handle_request(shared, request) {
-                    Handled::Reply(response, close_after) => {
-                        out.extend_from_slice(&frame::encode_response(id, &response));
-                        close |= close_after;
+                Ok((id, request @ (Request::Query(_) | Request::Explain(_)))) => {
+                    shared.counters.requests.inc();
+                    run.push((id, request));
+                }
+                Ok((id, request)) => {
+                    forward_run(shared, &mut run, &mut out);
+                    match handle_request(shared, request) {
+                        Handled::Reply(response, close_after) => {
+                            out.extend_from_slice(&frame::encode_response(id, &response));
+                            close |= close_after;
+                        }
+                        Handled::Raw(text) => {
+                            out.extend_from_slice(&frame::encode_raw_response(id, &text));
+                        }
                     }
-                    Handled::Raw(text) => {
-                        out.extend_from_slice(&frame::encode_raw_response(id, &text));
-                    }
-                },
+                }
                 Err(e) => {
+                    forward_run(shared, &mut run, &mut out);
                     shared.counters.requests.inc();
                     shared.counters.errors.inc();
                     let response = Response::Err {
@@ -529,6 +563,7 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                 }
             }
         }
+        forward_run(shared, &mut run, &mut out);
         if !out.is_empty() && writer.write_all(&out).is_err() {
             return;
         }
@@ -669,10 +704,13 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
             shared.stop.store(true, Ordering::SeqCst);
             reply(Response::Bye, true)
         }
-        Request::Query(q) => reply(handle_query(shared, Request::Query(q)), false),
-        // EXPLAIN forwards verbatim like QUERY: planning happens on the
-        // owning shard, where the artifacts and latency EWMAs live.
-        Request::Explain(q) => reply(handle_query(shared, Request::Explain(q)), false),
+        // A text line is a run of one. EXPLAIN forwards verbatim like
+        // QUERY: planning happens on the owning shard, where the artifacts
+        // and latency EWMAs live.
+        request @ (Request::Query(_) | Request::Explain(_)) => {
+            let mut replies = forward(shared, std::slice::from_ref(&request));
+            reply(replies.pop().expect("one reply per request"), false)
+        }
         Request::Trace(t) => reply(handle_trace(shared, t), false),
         Request::Stats => reply(handle_stats(shared), false),
         Request::Metrics => handle_metrics(shared),
@@ -787,48 +825,94 @@ fn record_request(
     });
 }
 
-/// Routes `QUERY` and `EXPLAIN` (the `request` must be one of the two) to
-/// the owning shard, with cache-affine replica choice.
-fn handle_query(shared: &Arc<Shared>, request: Request) -> Response {
-    let (verb, q) = match &request {
-        Request::Query(q) => ("QUERY", *q),
-        Request::Explain(q) => ("EXPLAIN", *q),
-        _ => unreachable!("handle_query only routes QUERY/EXPLAIN"),
-    };
-    // Read side of the epoch gate: a query is never in flight across the
-    // commit wave of a reload.
+/// The query of a forwarded read (`QUERY` or `EXPLAIN`) and its verb.
+fn read_of(request: &Request) -> (&'static str, &QueryRequest) {
+    match request {
+        Request::Query(q) => ("QUERY", q),
+        Request::Explain(q) => ("EXPLAIN", q),
+        _ => unreachable!("only QUERY/EXPLAIN are forwarded in runs"),
+    }
+}
+
+/// Forwards the binary loop's pending run (if any) and appends its replies
+/// to `out` under the client's own request ids.
+fn forward_run(shared: &Shared, run: &mut Vec<(u64, Request)>, out: &mut Vec<u8>) {
+    if run.is_empty() {
+        return;
+    }
+    let (ids, requests): (Vec<u64>, Vec<Request>) = run.drain(..).unzip();
+    for (id, response) in ids.into_iter().zip(forward(shared, &requests)) {
+        out.extend_from_slice(&frame::encode_response(id, &response));
+    }
+}
+
+/// Groups a run's requests by target `(shard, replica)` in order of first
+/// appearance, keeping request order within each group, and starts a new
+/// group for a target whose current one holds `cap` frames. Returns the
+/// request indices of each group.
+fn group_run(
+    targets: impl Iterator<Item = (usize, usize)>,
+    cap: usize,
+) -> Vec<((usize, usize), Vec<usize>)> {
+    let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+    for (i, target) in targets.enumerate() {
+        match groups.iter_mut().rev().find(|(t, _)| *t == target) {
+            Some((_, members)) if members.len() < cap => members.push(i),
+            _ => groups.push((target, vec![i])),
+        }
+    }
+    groups
+}
+
+/// Forwards a run of `QUERY`/`EXPLAIN` requests (see the module docs) under
+/// one read guard of the epoch gate, so no run straddles a reload's commit
+/// wave. Each (shard, favorite replica) group is one pipelined exchange;
+/// replies come back in request order, every one booked on its own.
+fn forward(shared: &Shared, requests: &[Request]) -> Vec<Response> {
     let _gate = shared.epoch_gate.read().unwrap();
-    let shard = shared.map.shard_of(q.user);
-    let t = Instant::now();
-    let response = match shared
-        .pools
-        .call_keyed(shard, affinity_key(q.user, q.k), |client| client.request(&request))
-    {
-        Ok(response) => {
-            match &response {
-                Response::Ok(_) | Response::Explained(_) => {
-                    shared.counters.ok.inc();
-                    shared.latency.record(t.elapsed().as_micros() as u64);
-                }
-                Response::Busy => {
-                    shared.counters.busy.inc();
-                }
-                _ => {
-                    shared.counters.errors.inc();
-                }
+    let targets = requests.iter().map(|request| {
+        let (_, q) = read_of(request);
+        let shard = shared.map.shard_of(q.user);
+        (shard, shared.pools.favorite(shard, affinity_key(q.user, q.k)))
+    });
+    let mut responses: Vec<Option<Response>> = requests.iter().map(|_| None).collect();
+    for ((shard, replica), members) in group_run(targets, HOP_BATCH) {
+        let batch: Vec<Request> = members.iter().map(|&i| requests[i].clone()).collect();
+        shared.counters.hop_exchanges.inc();
+        shared.counters.hop_frames.add(batch.len() as u64);
+        let t = Instant::now();
+        let outcome = shared.pools.exchange(shard, replica, &batch);
+        let us = t.elapsed().as_micros() as u64;
+        // Shard replies forward verbatim — the cluster is a drop-in for a
+        // single server, error codes included.
+        let replies = match outcome {
+            Ok(replies) => replies,
+            Err(CallError::Saturated) => vec![Response::Busy; batch.len()],
+            Err(CallError::Unavailable(message)) => {
+                vec![Response::Err { code: ErrorCode::Internal, message }; batch.len()]
             }
-            // Forward the shard's reply line verbatim — the cluster is a
-            // drop-in for a single server, error codes included.
-            response
+        };
+        for (&i, response) in members.iter().zip(replies) {
+            book_read(shared, &requests[i], &response, us);
+            responses[i] = Some(response);
         }
-        Err(CallError::Saturated) => {
-            shared.counters.busy.inc();
-            Response::Busy
+    }
+    responses.into_iter().map(|r| r.expect("every request is in one group")).collect()
+}
+
+/// Books one forwarded read: its outcome counter, its latency (`us`, the
+/// exchange it rode) and its flight/capture records under a fresh trace id.
+fn book_read(shared: &Shared, request: &Request, response: &Response, us: u64) {
+    let (verb, q) = read_of(request);
+    match response {
+        Response::Ok(_) | Response::Explained(_) => {
+            shared.counters.ok.inc();
+            shared.latency.record(us);
         }
-        Err(CallError::Unavailable(detail)) => internal(shared, detail),
-    };
-    let us = t.elapsed().as_micros() as u64;
-    let (resolved, tags, spread): (&'static str, &[u32], f64) = match &response {
+        Response::Busy => shared.counters.busy.inc(),
+        _ => shared.counters.errors.inc(),
+    }
+    let (resolved, tags, spread): (&'static str, &[u32], f64) = match response {
         Response::Ok(r) => ("-", &r.tags, r.spread),
         Response::Explained(r) => (r.backend.cli_name(), &r.tags, r.spread),
         _ => ("-", &[], 0.0),
@@ -841,12 +925,11 @@ fn handle_query(shared: &Arc<Shared>, request: Request) -> Response {
         q.k,
         q.backend.map(|b| b.cli_name()),
         resolved,
-        outcome_of(&response),
+        outcome_of(response),
         us,
         tags,
         spread,
     );
-    response
 }
 
 /// Routes `TRACE` like a query, then splices the shard's timeline into the
@@ -1402,4 +1485,34 @@ fn handle_reload(shared: &Arc<Shared>) -> Response {
         );
     }
     Response::Reloaded(reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn runs_group_by_target_in_order_and_split_at_the_cap() {
+        let targets = [(0, 0), (1, 0), (0, 0), (0, 1), (1, 0), (0, 0), (0, 0)];
+        let groups = group_run(targets.iter().copied(), 3);
+        assert_eq!(
+            groups,
+            vec![
+                ((0, 0), vec![0, 2, 5]),
+                ((1, 0), vec![1, 4]),
+                ((0, 1), vec![3]),
+                ((0, 0), vec![6]),
+            ]
+        );
+        // A run of one is an exchange of one; an empty run sends nothing.
+        assert_eq!(group_run([(2, 1)].into_iter(), HOP_BATCH), vec![((2, 1), vec![0])]);
+        assert!(group_run(std::iter::empty(), HOP_BATCH).is_empty());
+        // A long run to one target fills exchanges up to the cap.
+        let sizes: Vec<usize> =
+            group_run(std::iter::repeat_n((0, 0), 2 * HOP_BATCH + 5), HOP_BATCH)
+                .iter()
+                .map(|(_, members)| members.len())
+                .collect();
+        assert_eq!(sizes, vec![HOP_BATCH, HOP_BATCH, 5]);
+    }
 }

@@ -18,6 +18,10 @@ use pitex_support::codec::{DecodeError, Decoder, Encoder};
 const MAGIC: [u8; 4] = *b"PSHM";
 const VERSION: u32 = 1;
 
+/// Most replicas one shard may list: the router's connection pool reads a
+/// shard's replica health into one 64-bit mask per call.
+pub const MAX_REPLICAS: usize = 64;
+
 /// Deterministic user → shard assignment plus per-shard replica lists.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardMap {
@@ -38,9 +42,10 @@ fn mix(mut x: u64) -> u64 {
 
 impl ShardMap {
     /// A map over the given replica lists (one inner list per shard).
-    /// Fails on an empty cluster, an empty replica list, or a blank /
-    /// whitespace-carrying address (addresses must be single tokens: the
-    /// text format is whitespace-separated).
+    /// Fails on an empty cluster, an empty replica list, a shard with more
+    /// than [`MAX_REPLICAS`] replicas, or a blank / whitespace-carrying
+    /// address (addresses must be single tokens: the text format is
+    /// whitespace-separated).
     pub fn new(shards: Vec<Vec<String>>) -> Result<Self, String> {
         Self::with_seed(shards, 42)
     }
@@ -55,6 +60,12 @@ impl ShardMap {
         for (s, replicas) in shards.iter().enumerate() {
             if replicas.is_empty() {
                 return Err(format!("shard {s} has no replicas"));
+            }
+            if replicas.len() > MAX_REPLICAS {
+                return Err(format!(
+                    "shard {s} lists {} replicas (at most {MAX_REPLICAS})",
+                    replicas.len()
+                ));
             }
             for addr in replicas {
                 if addr.is_empty() || addr.chars().any(|c| c.is_whitespace()) {
@@ -305,6 +316,14 @@ mod tests {
             assert!(err.contains(needle), "{text:?} -> {err:?}");
         }
         assert!(ShardMap::from_file_bytes(&[0xFF, 0xFE, 0x00]).is_err());
+    }
+
+    #[test]
+    fn replica_lists_are_capped() {
+        let replicas = |n: usize| (0..n).map(|r| format!("a:{r}")).collect::<Vec<_>>();
+        assert!(ShardMap::new(vec![replicas(MAX_REPLICAS)]).is_ok());
+        let err = ShardMap::new(vec![replicas(1), replicas(MAX_REPLICAS + 1)]).unwrap_err();
+        assert!(err.contains("shard 1") && err.contains("at most 64"), "{err}");
     }
 
     #[test]

@@ -411,6 +411,18 @@ pub static SCHEMA: &[FieldSpec] = &[
         help: "cluster-wide reload barriers run",
     },
     FieldSpec {
+        pattern: "router_hop_exchanges",
+        kind: MetricKind::Counter,
+        merge: MergeRule::Sum,
+        help: "pipelined shard exchanges that forwarded QUERY/EXPLAIN runs",
+    },
+    FieldSpec {
+        pattern: "router_hop_frames",
+        kind: MetricKind::Counter,
+        merge: MergeRule::Sum,
+        help: "frames carried by the router's shard exchanges",
+    },
+    FieldSpec {
         pattern: "router_uptime_s",
         kind: MetricKind::Gauge,
         merge: MergeRule::Max,

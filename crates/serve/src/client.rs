@@ -26,15 +26,19 @@ use std::time::{Duration, Instant};
 /// which one a connection speaks from its first bytes, so both dial the
 /// same port.
 ///
-/// The client remembers its resolved address and transparently reconnects
-/// **once** per request when an *idempotent* verb (`QUERY`, `STATS`,
-/// `PING`) hits a connection-level I/O error — a restarted server (or a
-/// router replica swap) costs one retried round-trip instead of killing
-/// the session. Non-idempotent verbs (`UPDATE`, `RELOAD`, `SHUTDOWN`, …)
-/// are never retried: the first attempt may have been applied before the
-/// connection died, and replaying it could double-apply.
+/// The client remembers its resolved address (and dial timeout) and
+/// transparently reconnects **once** per request when an *idempotent* verb
+/// (`QUERY`, `STATS`, `PING`) hits a connection-level I/O error — a
+/// restarted server (or a router replica swap) costs one retried
+/// round-trip instead of killing the session. A [`pipeline`](Self::pipeline)d
+/// batch is retried the same way when every request in it is idempotent.
+/// Non-idempotent verbs (`UPDATE`, `RELOAD`, `SHUTDOWN`, …) are never
+/// retried: the first attempt may have been applied before the connection
+/// died, and replaying it could double-apply.
 pub struct ServeClient {
     addr: std::net::SocketAddr,
+    /// Dial timeout, reused by [`reconnect`](Self::reconnect).
+    timeout: Option<Duration>,
     binary: bool,
     /// Next binary request id; replies are matched by id, so a stale reply
     /// left over from an abandoned request can never be mistaken for the
@@ -89,6 +93,7 @@ impl ServeClient {
                 Ok((writer, reader)) => {
                     return Ok(Self {
                         addr,
+                        timeout,
                         binary,
                         next_id: 1,
                         frames: FrameBuf::new(MAX_REPLY_FRAME_BYTES),
@@ -127,9 +132,10 @@ impl ServeClient {
     }
 
     /// Drops the current connection and dials the same address again (the
-    /// wire mode is kept; any half-received frame is discarded).
+    /// wire mode and dial timeout are kept; any half-received frame is
+    /// discarded).
     pub fn reconnect(&mut self) -> std::io::Result<()> {
-        let (writer, reader) = Self::open(self.addr, None)?;
+        let (writer, reader) = Self::open(self.addr, self.timeout)?;
         self.writer = writer;
         self.reader = reader;
         self.frames = FrameBuf::new(MAX_REPLY_FRAME_BYTES);
@@ -177,18 +183,7 @@ impl ServeClient {
     /// `EXPLAIN`, `STATS`, `PING`) survive one connection loss: the client
     /// reconnects and retries exactly once (see the type docs).
     pub fn request(&mut self, request: &Request) -> std::io::Result<Response> {
-        let idempotent = matches!(
-            request,
-            Request::Ping
-                | Request::Stats
-                | Request::Query(_)
-                | Request::Explain(_)
-                | Request::Trace(_)
-                | Request::Flight
-                | Request::Series { .. }
-                | Request::Health
-                | Request::Sync { .. }
-        );
+        let idempotent = idempotent(request);
         if self.binary {
             let id = self.next_id;
             self.next_id += 1;
@@ -222,9 +217,24 @@ impl ServeClient {
     /// before any reply is read, so the batch costs one round-trip of
     /// queueing instead of `n`. Replies are matched back to requests by id
     /// (binary) or arrival order (text, whose replies are ordered) and
-    /// returned in request order. Not retried on connection loss — part of
-    /// the batch may already have been applied.
+    /// returned in request order.
+    ///
+    /// When **every** request in the batch is idempotent (`QUERY`,
+    /// `EXPLAIN`, `PING`, …, as for [`request`](Self::request)), a
+    /// connection loss reconnects and re-sends the whole batch once. A
+    /// batch holding any non-idempotent verb (`UPDATE`, `RELOAD`, …) is
+    /// never retried: part of it may already have been applied.
     pub fn pipeline(&mut self, requests: &[Request]) -> std::io::Result<Vec<Response>> {
+        match self.pipeline_once(requests) {
+            Err(e) if connection_lost(&e) && requests.iter().all(idempotent) => {
+                self.reconnect()?;
+                self.pipeline_once(requests)
+            }
+            other => other,
+        }
+    }
+
+    fn pipeline_once(&mut self, requests: &[Request]) -> std::io::Result<Vec<Response>> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
@@ -549,13 +559,30 @@ impl ServeClient {
     }
 }
 
-/// Whether an I/O error means the TCP connection itself is gone (worth one
-/// reconnect) rather than a protocol- or OS-level problem that a fresh
-/// connection would not fix.
 fn frame_io(e: crate::frame::FrameError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
 }
 
+/// Whether replaying `request` after a connection loss is harmless: the
+/// read-only verbs. Everything else may already have been applied.
+fn idempotent(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::Ping
+            | Request::Stats
+            | Request::Query(_)
+            | Request::Explain(_)
+            | Request::Trace(_)
+            | Request::Flight
+            | Request::Series { .. }
+            | Request::Health
+            | Request::Sync { .. }
+    )
+}
+
+/// Whether an I/O error means the TCP connection itself is gone (worth one
+/// reconnect) rather than a protocol- or OS-level problem that a fresh
+/// connection would not fix.
 fn connection_lost(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -920,6 +947,54 @@ mod tests {
         let mut probe = ServeClient::connect(addr).unwrap();
         let stats = probe.stats().unwrap();
         assert_eq!(stats.get_u64("updates_applied"), Some(0), "no ghost update applied");
+        second.stop().unwrap();
+    }
+
+    #[test]
+    fn idempotent_pipelines_survive_a_server_restart() {
+        let first = boot();
+        let addr = first.addr();
+        let mut client = ServeClient::connect_binary(addr).unwrap();
+        let batch: Vec<Request> =
+            (0..4).map(|user| Request::Query(QueryRequest::new(user, 2))).collect();
+        let before = client.pipeline(&batch).unwrap();
+
+        // The pooled-connection case: the server behind a kept-alive
+        // connection restarts. An all-QUERY batch reconnects once and
+        // returns every answer from the replacement.
+        first.stop().unwrap();
+        let second = boot_at(addr);
+        let after = client.pipeline(&batch).expect("an all-QUERY batch is retried once");
+        assert_eq!(after.len(), batch.len());
+        for (user, (old, new)) in before.iter().zip(&after).enumerate() {
+            let (Response::Ok(old), Response::Ok(new)) = (old, new) else {
+                panic!("user {user}: expected OK before and after, got {old:?} / {new:?}")
+            };
+            assert_eq!(new.user, user as u32);
+            assert_eq!((&new.tags, new.spread), (&old.tags, old.spread), "user {user}");
+        }
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.get_u64("ok"), Some(4), "the whole batch reached server two once");
+        second.stop().unwrap();
+    }
+
+    #[test]
+    fn pipelines_holding_an_update_are_not_replayed() {
+        let first = boot();
+        let addr = first.addr();
+        let mut client = ServeClient::connect_binary(addr).unwrap();
+        client.ping().unwrap();
+        first.stop().unwrap();
+        let second = boot_at(addr);
+        // One non-idempotent verb makes the whole batch non-retryable: the
+        // connection loss surfaces instead of a replay.
+        let batch = [Request::Query(QueryRequest::new(0, 2)), Request::Update(UpdateOp::AddUser)];
+        let err = client.pipeline(&batch).expect_err("a batch with an UPDATE must not be retried");
+        assert!(connection_lost(&err), "unexpected error kind: {err:?}");
+        let mut probe = ServeClient::connect(addr).unwrap();
+        let stats = probe.stats().unwrap();
+        assert_eq!(stats.get_u64("updates_applied"), Some(0), "no ghost update applied");
+        assert_eq!(stats.get_u64("ok"), Some(0), "no part of the batch was replayed");
         second.stop().unwrap();
     }
 }

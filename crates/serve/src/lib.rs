@@ -94,7 +94,7 @@ pub use protocol::{
     CaptureAction, ErrorCode, ExplainReply, FlightReply, FlightWireEntry, QueryReply, QueryRequest,
     ReloadReply, Request, Response, SeriesReply, StatsReply, TraceReply, TraceRequest,
 };
-pub use server::{ServeOptions, Server, ServerHandle};
+pub use server::{ServeOptions, Server, ServerHandle, DEFAULT_PIPELINE_CAP};
 pub use workload::{
     schedule_from_log, Expected, Replay, ReplayItem, ReplayReport, SyntheticSchedule,
 };

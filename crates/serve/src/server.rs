@@ -312,6 +312,12 @@ const POLL: Duration = Duration::from_millis(50);
 /// disconnected instead of growing server memory without bound.
 const MAX_LINE_BYTES: usize = 4 * 1024;
 
+/// Default per-connection pipelining cap of the binary event loop
+/// (`PITEX_SERVE_PIPELINE` overrides it): in-flight requests one
+/// connection may hold before further ones in its burst answer `BUSY`.
+/// A router never puts more frames than this on one shard connection.
+pub const DEFAULT_PIPELINE_CAP: usize = 1024;
+
 /// What boot-time WAL recovery hands to [`Server::spawn`]: the (possibly
 /// replayed) engine handle, the epoch to resume at, and the history the
 /// `SYNC` verb serves from.

@@ -36,7 +36,7 @@
 use super::{
     acceptor_loop, complete_query, connection_loop, env_knob, handle_request, prepare_query,
     register_connection, shed_query, writev_batch, Handled, Job, PreparedQuery, QueryCtx,
-    ReplySink, Shared, WorkerReply, POLL,
+    ReplySink, Shared, WorkerReply, DEFAULT_PIPELINE_CAP, POLL,
 };
 use crate::frame::{self, could_be_frame, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
 use crate::protocol::{ErrorCode, Request, Response};
@@ -227,7 +227,7 @@ pub(super) fn run(shared: &Arc<Shared>, listener: TcpListener, job_tx: &mpsc::Sy
         lp: &lp,
         job_tx,
         slow_tx: &slow_tx,
-        pipeline_cap: env_knob("PITEX_SERVE_PIPELINE", 1024),
+        pipeline_cap: env_knob("PITEX_SERVE_PIPELINE", DEFAULT_PIPELINE_CAP),
         batch: writev_batch(),
     };
     let mut conns: HashMap<usize, Conn> = HashMap::new();

@@ -11,10 +11,17 @@
 
 use pitex::cluster::{Router, RouterHandle, RouterOptions, ShardMap};
 use pitex::prelude::*;
-use pitex::serve::{ErrorCode, Request, Response, ServeClient, ServeOptions, Server, ServerHandle};
+use pitex::serve::frame::{self, FrameBuf, WireReply, MAX_REPLY_FRAME_BYTES};
+use pitex::serve::{
+    ErrorCode, QueryRequest, Request, Response, ServeClient, ServeOptions, Server, ServerHandle,
+    DEFAULT_PIPELINE_CAP,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::{BTreeSet, HashMap};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,6 +119,203 @@ fn binary_clients_speak_to_the_router_like_a_shard() {
     let Response::Ok(reply) = text.query(0, 2).unwrap() else { panic!("text query must OK") };
     assert_eq!(&reply.tags, &truth[0].0);
     assert_eq!(text.request(&Request::Quit).unwrap(), Response::Bye);
+    cluster.stop();
+}
+
+/// Writes `burst` as one `PFRM` write on a fresh binary connection and
+/// reads until every id has its reply. Fails on a reply whose id was never
+/// sent or that arrives twice.
+fn send_burst(addr: SocketAddr, burst: &[(u64, Request)]) -> HashMap<u64, Response> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let bytes: Vec<u8> =
+        burst.iter().flat_map(|(id, request)| frame::encode_request(*id, request)).collect();
+    stream.write_all(&bytes).unwrap();
+    let sent: BTreeSet<u64> = burst.iter().map(|(id, _)| *id).collect();
+    let mut frames = FrameBuf::new(MAX_REPLY_FRAME_BYTES);
+    let mut replies = HashMap::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    while replies.len() < burst.len() {
+        if let Some(payload) = frames.next_payload().unwrap() {
+            let (id, WireReply::Response(response)) = frame::decode_response(&payload).unwrap()
+            else {
+                panic!("unexpected raw reply")
+            };
+            assert!(sent.contains(&id), "reply under id {id}, which was never sent");
+            assert!(replies.insert(id, response).is_none(), "two replies for id {id}");
+            continue;
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "router closed with {} of {} replies", replies.len(), burst.len());
+        frames.extend(&buf[..n]);
+    }
+    replies
+}
+
+/// The router's own counters, read through a merged `STATS`.
+fn router_counter(stats: &pitex::serve::StatsReply, name: &str) -> u64 {
+    stats.get_u64(name).unwrap_or_else(|| panic!("STATS lacks {name}"))
+}
+
+fn query(user: u32) -> Request {
+    Request::Query(QueryRequest::new(user, 2))
+}
+
+/// A binary burst mixing both shards' users, an `EXPLAIN`, and a `PING`
+/// and a `STATS` mid-run is answered in full under the client's own ids,
+/// bit-identical to the exact ground truth; the runs between the other
+/// verbs go out as one exchange per shard, and every query is still booked
+/// on its own (counters, flight ring, trace ids).
+#[test]
+fn binary_bursts_forward_one_exchange_per_shard_and_book_every_query() {
+    let cluster = boot_cluster(2, 1);
+    let truth = ground_truth(&TicModel::paper_example());
+    let mut admin = ServeClient::connect(cluster.router.addr()).unwrap();
+    let before = admin.stats().unwrap();
+
+    // Runs: [Q0 Q1 Q2 E3 Q4] PING [Q5 Q6] STATS [Q0]. Ids are deliberately
+    // sparse and descending, so a reply can only match by id.
+    let explain = Request::Explain(QueryRequest::new(3, 2));
+    let requests = vec![
+        query(0),
+        query(1),
+        query(2),
+        explain,
+        query(4),
+        Request::Ping,
+        query(5),
+        query(6),
+        Request::Stats,
+        query(0),
+    ];
+    let burst: Vec<(u64, Request)> =
+        requests.into_iter().enumerate().map(|(i, r)| (9_000 - 7 * i as u64, r)).collect();
+    let runs: [&[u32]; 3] = [&[0, 1, 2, 3, 4], &[5, 6], &[0]];
+    let shards_of = |users: &[u32]| -> BTreeSet<usize> {
+        users.iter().map(|&u| cluster.map.shard_of(u)).collect()
+    };
+    assert_eq!(shards_of(runs[0]).len(), 2, "the first run must span both shards");
+    let exchanges: usize = runs.iter().map(|users| shards_of(users).len()).sum();
+    let queries = runs.iter().map(|users| users.len()).sum::<usize>() as u64;
+
+    let replies = send_burst(cluster.router.addr(), &burst);
+    for (id, request) in &burst {
+        let reply = &replies[id];
+        match (request, reply) {
+            (Request::Query(q), Response::Ok(ok)) => {
+                assert_eq!(ok.user, q.user, "id {id}");
+                let (tags, spread) = &truth[q.user as usize];
+                assert_eq!(&ok.tags, tags, "user {}: routed answer differs", q.user);
+                assert_eq!(ok.spread.to_bits(), spread.to_bits(), "user {}", q.user);
+            }
+            (Request::Explain(q), Response::Explained(explained)) => {
+                let (tags, spread) = &truth[q.user as usize];
+                assert_eq!(&explained.tags, tags, "EXPLAIN user {}", q.user);
+                assert_eq!(explained.spread.to_bits(), spread.to_bits(), "EXPLAIN user {}", q.user);
+            }
+            (Request::Ping, Response::Pong) => {}
+            (Request::Stats, Response::Stats(stats)) => {
+                assert_eq!(stats.get_u64("shards"), Some(2), "mid-run STATS is the merged view");
+            }
+            (request, reply) => panic!("id {id}: {request:?} answered {reply:?}"),
+        }
+    }
+
+    let after = admin.stats().unwrap();
+    let delta = |name: &str| router_counter(&after, name) - router_counter(&before, name);
+    // The PING and STATS in the burst and the STATS reading the counters
+    // are requests too; only the queries are OK answers.
+    assert_eq!(delta("router_requests"), queries + 3);
+    assert_eq!(delta("router_ok"), queries);
+    assert_eq!(delta("router_busy") + delta("router_errors"), 0);
+    assert_eq!(delta("router_hop_frames"), queries, "every query rode one exchange");
+    assert_eq!(delta("router_hop_exchanges"), exchanges as u64, "one exchange per shard per run");
+    let metrics = admin.metrics().unwrap();
+    for name in ["pitex_router_hop_exchanges ", "pitex_router_hop_frames "] {
+        assert!(metrics.contains(name), "METRICS exports {name}");
+    }
+
+    // One flight entry per query, each under its own trace id.
+    let flight = admin.flight().unwrap();
+    assert_eq!(flight.recorded, queries);
+    assert_eq!(flight.entries.len() as u64, queries);
+    let ids: BTreeSet<u64> = flight.entries.iter().map(|e| e.trace_id).collect();
+    assert_eq!(ids.len() as u64, queries, "trace ids are distinct");
+    let explains = flight.entries.iter().filter(|e| e.verb == "EXPLAIN").count();
+    assert_eq!(explains, 1);
+    assert!(flight.entries.iter().all(|e| e.outcome == "ok"));
+    cluster.stop();
+}
+
+/// Killing the favorite replica between bursts costs the next burst one
+/// failover for the whole group that favored it, not one per frame, and
+/// every query in it still answers OK with the exact answer.
+#[test]
+fn a_dead_favorite_fails_over_once_per_exchange() {
+    let mut cluster = boot_cluster(1, 2);
+    let truth = ground_truth(&TicModel::paper_example());
+    let burst: Vec<(u64, Request)> = (0..USERS).map(|u| (u64::from(u) + 1, query(u))).collect();
+    let check = |replies: &HashMap<u64, Response>| {
+        for (id, request) in &burst {
+            let Request::Query(q) = request else { unreachable!() };
+            let Response::Ok(ok) = &replies[id] else {
+                panic!("user {}: expected OK, got {:?}", q.user, replies[id])
+            };
+            assert_eq!(ok.tags, truth[q.user as usize].0, "user {}", q.user);
+            assert_eq!(ok.spread.to_bits(), truth[q.user as usize].1.to_bits(), "user {}", q.user);
+        }
+    };
+    check(&send_burst(cluster.router.addr(), &burst));
+
+    // Both replicas are somebody's favorite, so the burst went out as two
+    // exchanges, one per replica.
+    let served: Vec<u64> = cluster.servers[0]
+        .iter()
+        .map(|s| ServeClient::connect(s.addr()).unwrap().stats().unwrap().get_u64("ok").unwrap())
+        .collect();
+    assert!(served.iter().all(|&ok| ok > 0), "both replicas are favorites: {served:?}");
+    let mut admin = ServeClient::connect(cluster.router.addr()).unwrap();
+    let before = admin.stats().unwrap();
+    assert_eq!(router_counter(&before, "router_hop_exchanges"), 2);
+
+    let victim = cluster.servers[0].remove(0);
+    victim.stop().unwrap();
+    check(&send_burst(cluster.router.addr(), &burst));
+    let after = admin.stats().unwrap();
+    let delta = |name: &str| router_counter(&after, name) - router_counter(&before, name);
+    assert_eq!(delta("router_failovers"), 1, "one failover for the dead favorite's exchange");
+    assert_eq!(delta("router_ok"), u64::from(USERS));
+    assert_eq!(delta("router_hop_exchanges"), 2);
+    assert_eq!(after.get_u64("replicas_up"), Some(1));
+    cluster.stop();
+}
+
+/// A run longer than the shards' per-connection pipelining cap is split
+/// into several exchanges and answered in full, with no `BUSY` anywhere.
+#[test]
+fn a_run_past_the_pipeline_cap_is_split_and_answered_in_full() {
+    let cluster = boot_cluster(2, 1);
+    let truth = ground_truth(&TicModel::paper_example());
+    let mut admin = ServeClient::connect(cluster.router.addr()).unwrap();
+    // Warm the owning shard's cache so the long run is all cache hits.
+    let Response::Ok(_) = admin.query(0, 2).unwrap() else { panic!("warm-up must OK") };
+    let before = admin.stats().unwrap();
+
+    let n = DEFAULT_PIPELINE_CAP + 100;
+    let burst: Vec<(u64, Request)> = (0..n as u64).map(|i| (i + 1, query(0))).collect();
+    let replies = send_burst(cluster.router.addr(), &burst);
+    for (id, _) in &burst {
+        let Response::Ok(ok) = &replies[id] else { panic!("id {id}: {:?}", replies[id]) };
+        assert_eq!((&ok.tags, ok.spread.to_bits()), (&truth[0].0, truth[0].1.to_bits()));
+    }
+
+    let after = admin.stats().unwrap();
+    let delta = |name: &str| router_counter(&after, name) - router_counter(&before, name);
+    assert_eq!(delta("router_ok"), n as u64);
+    assert_eq!(delta("router_busy"), 0);
+    assert_eq!(after.get_u64("busy"), Some(0), "no shard shed a frame");
+    assert_eq!(delta("router_hop_frames"), n as u64);
+    assert!(delta("router_hop_exchanges") >= 2, "a run past the cap needs several exchanges");
     cluster.stop();
 }
 
