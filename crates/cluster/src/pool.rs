@@ -12,19 +12,19 @@
 //! checks not just liveness but *epoch agreement* with a healthy peer, and
 //! re-quarantines a live replica that missed a reload while it was down).
 //!
-//! Back-pressure is per shard: at most `max_in_flight` calls may be
+//! Back-pressure is per shard: at most `max_in_flight` frames may be
 //! outstanding against one shard; beyond that the pool reports
 //! [`CallError::Saturated`] and the router sheds the request with `BUSY`,
-//! mirroring what a single `pitex_serve` does when its queue fills. A
-//! pipelined [`exchange`](ShardPools::exchange) is one call: one checkout,
-//! one slot, however many frames it carries (the router keeps that at or
-//! below the shard's per-connection cap,
-//! [`DEFAULT_PIPELINE_CAP`](pitex_serve::DEFAULT_PIPELINE_CAP)), and it
-//! fails over as a whole.
+//! mirroring what a single `pitex_serve` does when its queue fills. A call
+//! carries one frame and holds one slot. A pipelined
+//! [`exchange`](ShardPools::exchange) is one checkout that holds one slot
+//! per frame it carries, so a burst cannot put more frames on a shard than
+//! the shard's job queue takes (the defaults match: 64 and 64); a longer
+//! group goes out as several exchanges, and each fails over as a whole.
 
 use crate::shardmap::ShardMap;
 use pitex_live::SyncBundle;
-use pitex_serve::{Request, Response, ServeClient};
+use pitex_serve::{Request, Response, ServeClient, DEFAULT_PIPELINE_CAP};
 use pitex_support::obs::Counter;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -36,8 +36,9 @@ pub struct PoolOptions {
     /// Idle connections kept per replica (checked-out connections are not
     /// capped by this; it only bounds what lingers).
     pub idle_per_replica: usize,
-    /// Concurrent calls allowed per shard before the pool sheds
-    /// ([`CallError::Saturated`] → `BUSY`).
+    /// Frames allowed in flight per shard before the pool sheds
+    /// ([`CallError::Saturated`] → `BUSY`); a call is one frame, an
+    /// exchange one per request it carries.
     pub max_in_flight: usize,
     /// How long a failed replica stays down before calls re-try it.
     pub probe_cooldown: Duration,
@@ -141,6 +142,27 @@ impl ShardPool {
             .enumerate()
             .fold(0, |up, (r, replica)| if replica.is_up(now) { up | 1 << r } else { up })
     }
+
+    /// Takes up to `want` of the shard's free in-flight slots, or `None`
+    /// when `max` frames are already outstanding.
+    fn acquire(&self, want: usize, max: usize) -> Option<Slots<'_>> {
+        let mut held = self.in_flight.load(Ordering::Relaxed);
+        loop {
+            let n = want.min(max.saturating_sub(held));
+            if n == 0 {
+                return None;
+            }
+            match self.in_flight.compare_exchange_weak(
+                held,
+                held + n,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some(Slots { in_flight: &self.in_flight, n }),
+                Err(now) => held = now,
+            }
+        }
+    }
 }
 
 /// The replica a keyed call starts from under health mask `up` over `n`
@@ -169,12 +191,29 @@ fn rotation(up: u64, n: usize, start: usize) -> impl Iterator<Item = usize> {
     ring.clone().filter(healthy).chain(ring.filter(move |r| !healthy(r)))
 }
 
-/// Decrements the shard's in-flight count on every exit path.
-struct InFlightGuard<'a>(&'a AtomicUsize);
+/// Groups a run's `(shard, replica)` targets in order of first appearance,
+/// keeping request order within each group. Returns the request indices
+/// of each group.
+fn group_run(targets: impl Iterator<Item = (usize, usize)>) -> Vec<((usize, usize), Vec<usize>)> {
+    let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+    for (i, target) in targets.enumerate() {
+        match groups.iter_mut().find(|(t, _)| *t == target) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((target, vec![i])),
+        }
+    }
+    groups
+}
 
-impl Drop for InFlightGuard<'_> {
+/// `n` of a shard's in-flight slots, given back on every exit path.
+struct Slots<'a> {
+    in_flight: &'a AtomicUsize,
+    n: usize,
+}
+
+impl Drop for Slots<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.in_flight.fetch_sub(self.n, Ordering::Relaxed);
     }
 }
 
@@ -310,36 +349,81 @@ impl ShardPools {
         self.call_from(shard, up, favorite_of(up, pool.replicas.len(), key), f)
     }
 
-    /// The replica [`call_keyed`](Self::call_keyed) would try first for
-    /// `key` right now — what the router groups a burst by, so batching
-    /// does not move any key off its favorite.
-    pub fn favorite(&self, shard: usize, key: u64) -> usize {
-        let pool = &self.shards[shard];
-        favorite_of(pool.health(), pool.replicas.len(), key)
-    }
-
-    /// One pipelined exchange: `requests` go to one replica of `shard`,
-    /// starting at `start`, as a single [`ServeClient::pipeline`] batch,
-    /// and the replies come back in request order. The exchange is one
-    /// [`call`](Self::call): one checkout, one `max_in_flight` slot, and
-    /// on an I/O error the **whole** batch is retried on the next replica
-    /// (and counted as one failover). Only idempotent requests belong in
-    /// a batch; keep it at or below the shard's per-connection pipelining
-    /// cap, or the overflow answers `BUSY`.
+    /// Forwards a run of idempotent reads (`QUERY`/`EXPLAIN`) as pipelined
+    /// exchanges. `route` names each request's shard and affinity key.
+    /// Each shard's health is read once for the whole run; every request
+    /// goes to the replica [`call_keyed`](Self::call_keyed) would try first
+    /// for its key, and the requests bound for one (shard, replica) travel
+    /// together in run order as one [`ServeClient::pipeline`] batch per
+    /// checkout. An exchange holds one `max_in_flight` slot per frame and
+    /// carries at most the free slots (and at most the shard's
+    /// per-connection cap, [`DEFAULT_PIPELINE_CAP`]); the rest of the group
+    /// follows in further exchanges, and frames that find no free slot at
+    /// all come back [`CallError::Saturated`]. On an I/O error the
+    /// **whole** exchange is retried on the next replica (one failover).
+    ///
+    /// `done` gets each exchange's run indices and outcome as soon as it
+    /// completes. A run of one is a plain keyed call.
     pub fn exchange(
         &self,
-        shard: usize,
-        start: usize,
         requests: &[Request],
-    ) -> Result<Vec<Response>, CallError> {
-        self.call_from(shard, self.shards[shard].health(), start, |client| {
-            client.pipeline(requests)
-        })
+        route: impl Fn(&Request) -> (usize, u64),
+        mut done: impl FnMut(&[usize], Result<Vec<Response>, CallError>),
+    ) {
+        if let [request] = requests {
+            let (shard, key) = route(request);
+            done(&[0], self.call_keyed(shard, key, |client| Ok(vec![client.request(request)?])));
+            return;
+        }
+        let mut health: Vec<Option<u64>> = vec![None; self.shards.len()];
+        let groups = group_run(requests.iter().map(|request| {
+            let (shard, key) = route(request);
+            let pool = &self.shards[shard];
+            let up = *health[shard].get_or_insert_with(|| pool.health());
+            (shard, favorite_of(up, pool.replicas.len(), key))
+        }));
+        for ((shard, replica), members) in groups {
+            let pool = &self.shards[shard];
+            let mut up = health[shard].expect("read while grouping");
+            let mut rest = members.as_slice();
+            while !rest.is_empty() {
+                let want = rest.len().min(DEFAULT_PIPELINE_CAP);
+                let Some(slots) = pool.acquire(want, self.options.max_in_flight) else {
+                    done(rest, Err(CallError::Saturated));
+                    break;
+                };
+                let (now, later) = rest.split_at(slots.n);
+                let batch: Vec<Request> = now.iter().map(|&i| requests[i].clone()).collect();
+                let outcome = self.attempt(shard, up, replica, |client| client.pipeline(&batch));
+                drop(slots);
+                done(now, outcome);
+                rest = later;
+                // The next exchange of a split group skips a replica this
+                // one just marked down.
+                if !rest.is_empty() {
+                    up = pool.health();
+                }
+            }
+        }
+    }
+
+    /// One call: takes one in-flight slot, then [`attempt`](Self::attempt).
+    fn call_from<T>(
+        &self,
+        shard: usize,
+        up: u64,
+        start: usize,
+        f: impl FnMut(&mut ServeClient) -> std::io::Result<T>,
+    ) -> Result<T, CallError> {
+        let Some(_slot) = self.shards[shard].acquire(1, self.options.max_in_flight) else {
+            return Err(CallError::Saturated);
+        };
+        self.attempt(shard, up, start, f)
     }
 
     /// The shared failover body: tries replicas in [`rotation`] order from
     /// `start` under health mask `up`, healthy ones first.
-    fn call_from<T>(
+    fn attempt<T>(
         &self,
         shard: usize,
         up: u64,
@@ -347,12 +431,6 @@ impl ShardPools {
         mut f: impl FnMut(&mut ServeClient) -> std::io::Result<T>,
     ) -> Result<T, CallError> {
         let pool = &self.shards[shard];
-        if pool.in_flight.fetch_add(1, Ordering::Relaxed) >= self.options.max_in_flight {
-            pool.in_flight.fetch_sub(1, Ordering::Relaxed);
-            return Err(CallError::Saturated);
-        }
-        let _guard = InFlightGuard(&pool.in_flight);
-
         let mut last_err = None;
         let mut attempts = 0;
         for r in rotation(up, pool.replicas.len(), start) {
@@ -956,13 +1034,42 @@ mod tests {
     }
 
     #[test]
-    fn exchange_is_one_call_and_fails_over_as_a_whole() {
+    fn runs_group_by_target_in_order_of_first_appearance() {
+        let targets = [(0, 0), (1, 0), (0, 0), (0, 1), (1, 0), (0, 0)];
+        assert_eq!(
+            group_run(targets.iter().copied()),
+            vec![((0, 0), vec![0, 2, 5]), ((1, 0), vec![1, 4]), ((0, 1), vec![3])]
+        );
+        assert!(group_run(std::iter::empty()).is_empty());
+    }
+
+    fn queries(n: u32) -> Vec<Request> {
+        (0..n).map(|u| Request::Query(pitex_serve::QueryRequest::new(u % 7, 2))).collect()
+    }
+
+    /// One exchange as [`ShardPools::exchange`] reports it: its run
+    /// indices and its outcome.
+    type Exchanged = (Vec<usize>, Result<Vec<Response>, CallError>);
+
+    /// Runs `requests` through [`ShardPools::exchange`] on shard 0 with
+    /// every key favoring replica 0.
+    fn exchange_all(pools: &ShardPools, requests: &[Request]) -> Vec<Exchanged> {
+        let mut exchanges = Vec::new();
+        pools.exchange(
+            requests,
+            |_| (0, 0),
+            |members, outcome| exchanges.push((members.to_vec(), outcome)),
+        );
+        exchanges
+    }
+
+    #[test]
+    fn exchange_is_one_checkout_and_fails_over_as_a_whole() {
         let a = boot();
         let b = boot();
         let map = map_of(vec![vec![a.addr().to_string(), b.addr().to_string()]]);
         let pools = ShardPools::new(&map, PoolOptions::default());
-        let batch: Vec<Request> =
-            (0..5).map(|u| Request::Query(pitex_serve::QueryRequest::new(u, 2))).collect();
+        let batch = queries(5);
         let expected: Vec<Response> = batch
             .iter()
             .map(|r| ServeClient::connect(a.addr()).unwrap().request(r).unwrap())
@@ -978,17 +1085,68 @@ mod tests {
         };
 
         // Replica 0 takes the whole batch over one connection.
-        let replies = pools.exchange(0, 0, &batch).unwrap();
-        assert_eq!(answers(&replies), answers(&expected));
+        let exchanges = exchange_all(&pools, &batch);
+        assert_eq!(exchanges.len(), 1);
+        let (members, outcome) = &exchanges[0];
+        assert_eq!(members, &vec![0, 1, 2, 3, 4]);
+        assert_eq!(answers(outcome.as_ref().unwrap()), answers(&expected));
         let on_a = ServeClient::connect(a.addr()).unwrap().stats().unwrap();
         assert_eq!(on_a.get_u64("ok"), Some(10), "5 direct + 5 in the exchange");
 
         // Kill it: the next exchange moves to replica 1 in one failover.
         a.stop().unwrap();
-        let replies = pools.exchange(0, 0, &batch).unwrap();
-        assert_eq!(answers(&replies), answers(&expected));
+        let exchanges = exchange_all(&pools, &batch);
+        assert_eq!(exchanges.len(), 1);
+        assert_eq!(answers(exchanges[0].1.as_ref().unwrap()), answers(&expected));
         assert_eq!(pools.failovers(), 1, "one failover for the whole batch");
         assert_eq!(pools.replica_health(), (1, 2));
         b.stop().unwrap();
+    }
+
+    #[test]
+    fn exchange_holds_one_slot_per_frame() {
+        let server = boot();
+        let map = map_of(vec![vec![server.addr().to_string()]]);
+        let options = PoolOptions { max_in_flight: 3, ..PoolOptions::default() };
+        let pools = Arc::new(ShardPools::new(&map, options));
+
+        // Three free slots: an 8-frame group goes out as 3 + 3 + 2 frames.
+        let exchanges = exchange_all(&pools, &queries(8));
+        let sizes: Vec<usize> = exchanges.iter().map(|(members, _)| members.len()).collect();
+        assert_eq!(sizes, vec![3, 3, 2]);
+        assert!(exchanges.iter().all(|(_, outcome)| outcome.is_ok()));
+        let order: Vec<usize> = exchanges.iter().flat_map(|(m, _)| m.iter().copied()).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>(), "frames keep run order");
+
+        // A call parked inside the pool holds one slot: the next exchange
+        // carries at most the two that are left, and with all three held
+        // the frames are shed instead of queued.
+        let (hold_tx, hold_rx) = std::sync::mpsc::channel::<()>();
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let pools2 = pools.clone();
+            scope.spawn(move || {
+                pools2
+                    .call(0, |client| {
+                        held_tx.send(()).unwrap();
+                        hold_rx.recv().unwrap();
+                        client.ping()
+                    })
+                    .unwrap();
+            });
+            held_rx.recv().unwrap();
+            let sizes: Vec<usize> =
+                exchange_all(&pools, &queries(4)).iter().map(|(m, _)| m.len()).collect();
+            assert_eq!(sizes, vec![2, 2]);
+            let two = pools.shards[0].acquire(2, 3).expect("two slots are free");
+            match exchange_all(&pools, &queries(4)).as_slice() {
+                [(members, Err(CallError::Saturated))] => assert_eq!(members.len(), 4),
+                other => panic!("expected one shed group, got {} exchanges", other.len()),
+            }
+            drop(two);
+            hold_tx.send(()).unwrap();
+        });
+        assert_eq!(pools.shards[0].in_flight.load(Ordering::Relaxed), 0, "every slot came back");
+        server.stop().unwrap();
     }
 }

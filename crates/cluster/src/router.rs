@@ -12,16 +12,17 @@
 //!   shard-side, where the artifacts and the latency EWMAs live) and the
 //!   `EXPLAINED` decision trace. Within the owning shard the replica is
 //!   picked by hashing `(user, k)` over the *healthy* replicas
-//!   ([`ShardPools::favorite`]), so identical queries warm one replica's
+//!   ([`ShardPools::call_keyed`]), so identical queries warm one replica's
 //!   result cache instead of spraying cold misses round-robin. Reads
 //!   travel in **runs**: a `PFRM` burst's consecutive `QUERY`/`EXPLAIN`
-//!   frames (any other verb ends a run) are grouped by (shard, favorite
-//!   replica) and each group goes out as one pipelined
-//!   [`ShardPools::exchange`] — one checkout, one in-flight slot, one
-//!   round trip — split at the shard's per-connection pipelining cap. A
-//!   text line is a run of one. Counters, latency, flight and capture
-//!   records stay per request; `router_hop_exchanges` and
-//!   `router_hop_frames` show how many frames each exchange carried.
+//!   frames (any other verb ends a run) are handed to
+//!   [`ShardPools::exchange`], which groups them by (shard, favorite
+//!   replica) and sends each group as one pipelined exchange — one
+//!   checkout, one round trip, one in-flight slot per frame, so a group
+//!   longer than the free slots goes out as several exchanges. A text line
+//!   is a run of one. Counters, latency (from the start of the run),
+//!   flight and capture records stay per request; `router_hop_exchanges`
+//!   and `router_hop_frames` show how many frames each exchange carried.
 //! * `STATS` / `EPOCH` — scattered to every shard and merged: monotone
 //!   counters add, latency *histograms* merge bucket-wise (via the
 //!   `lat_hist` field; percentiles themselves do not add), and the epochs
@@ -128,12 +129,12 @@ fn env_u64(key: &str) -> Option<u64> {
 
 impl RouterOptions {
     /// Applies the `PITEX_CLUSTER_*` environment overrides:
-    /// `PITEX_CLUSTER_MAX_IN_FLIGHT` (per-shard concurrency before `BUSY`),
-    /// `PITEX_CLUSTER_IDLE_CONNS` (pooled idle connections per replica),
-    /// `PITEX_CLUSTER_PROBE_MS` (prober interval), `PITEX_CLUSTER_COOLDOWN_MS`
-    /// (down-replica cooldown), `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`,
-    /// `PITEX_CLUSTER_BINARY` (`0` drops the shard hop back to the text
-    /// protocol).
+    /// `PITEX_CLUSTER_MAX_IN_FLIGHT` (frames in flight per shard before
+    /// `BUSY`), `PITEX_CLUSTER_IDLE_CONNS` (pooled idle connections per
+    /// replica), `PITEX_CLUSTER_PROBE_MS` (prober interval),
+    /// `PITEX_CLUSTER_COOLDOWN_MS` (down-replica cooldown),
+    /// `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`, `PITEX_CLUSTER_BINARY` (`0` drops
+    /// the shard hop back to the text protocol).
     pub fn with_env(mut self) -> Self {
         if let Some(v) = env_u64("PITEX_CLUSTER_MAX_IN_FLIGHT") {
             self.pool.max_in_flight = v as usize;
@@ -232,11 +233,6 @@ const POLL: Duration = Duration::from_millis(50);
 
 /// Longest accepted request line (mirrors the shard servers).
 const MAX_LINE_BYTES: usize = 4 * 1024;
-
-/// Most frames one shard exchange carries: the shards' default
-/// per-connection pipelining cap, so an exchange is never shed for depth.
-/// A longer group is split into several exchanges.
-const HOP_BATCH: usize = pitex_serve::DEFAULT_PIPELINE_CAP;
 
 /// Namespace for [`Router::spawn`].
 pub struct Router;
@@ -499,10 +495,13 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
     let mut frames = FrameBuf::new(MAX_REQUEST_FRAME_BYTES);
     frames.extend(&head);
     let mut reader = stream;
-    // Large enough that one pass can admit a run past `HOP_BATCH` frames.
+    // Large enough that one pass can admit a run past the shards'
+    // per-connection pipelining cap.
     let mut buf = vec![0u8; 64 * 1024];
     let mut eof = false;
-    let mut run: Vec<(u64, Request)> = Vec::new();
+    // The pending run: request ids and requests, kept across passes.
+    let mut ids: Vec<u64> = Vec::new();
+    let mut run: Vec<Request> = Vec::new();
     loop {
         let mut out: Vec<u8> = Vec::new();
         let mut close = false;
@@ -511,7 +510,7 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                 Ok(Some(payload)) => payload,
                 Ok(None) => break,
                 Err(FrameError::Oversized { len, cap }) => {
-                    forward_run(shared, &mut run, &mut out);
+                    forward_run(shared, &mut ids, &mut run, &mut out);
                     shared.counters.requests.inc();
                     shared.counters.errors.inc();
                     let response = Response::Err {
@@ -525,7 +524,7 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                 Err(_) => {
                     // Desynchronized mid-stream: no reply can be framed
                     // reliably, so answer what came before and close.
-                    forward_run(shared, &mut run, &mut out);
+                    forward_run(shared, &mut ids, &mut run, &mut out);
                     shared.counters.errors.inc();
                     close = true;
                     break;
@@ -534,10 +533,11 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
             match frame::decode_request(&payload) {
                 Ok((id, request @ (Request::Query(_) | Request::Explain(_)))) => {
                     shared.counters.requests.inc();
-                    run.push((id, request));
+                    ids.push(id);
+                    run.push(request);
                 }
                 Ok((id, request)) => {
-                    forward_run(shared, &mut run, &mut out);
+                    forward_run(shared, &mut ids, &mut run, &mut out);
                     match handle_request(shared, request) {
                         Handled::Reply(response, close_after) => {
                             out.extend_from_slice(&frame::encode_response(id, &response));
@@ -549,7 +549,7 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                     }
                 }
                 Err(e) => {
-                    forward_run(shared, &mut run, &mut out);
+                    forward_run(shared, &mut ids, &mut run, &mut out);
                     shared.counters.requests.inc();
                     shared.counters.errors.inc();
                     let response = Response::Err {
@@ -563,7 +563,7 @@ fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>
                 }
             }
         }
-        forward_run(shared, &mut run, &mut out);
+        forward_run(shared, &mut ids, &mut run, &mut out);
         if !out.is_empty() && writer.write_all(&out).is_err() {
             return;
         }
@@ -834,74 +834,61 @@ fn read_of(request: &Request) -> (&'static str, &QueryRequest) {
     }
 }
 
-/// Forwards the binary loop's pending run (if any) and appends its replies
-/// to `out` under the client's own request ids.
-fn forward_run(shared: &Shared, run: &mut Vec<(u64, Request)>, out: &mut Vec<u8>) {
+/// Forwards the binary loop's pending run (if any), appends its replies to
+/// `out` under the client's own request ids, and empties the run.
+fn forward_run(shared: &Shared, ids: &mut Vec<u64>, run: &mut Vec<Request>, out: &mut Vec<u8>) {
     if run.is_empty() {
         return;
     }
-    let (ids, requests): (Vec<u64>, Vec<Request>) = run.drain(..).unzip();
-    for (id, response) in ids.into_iter().zip(forward(shared, &requests)) {
-        out.extend_from_slice(&frame::encode_response(id, &response));
+    for (id, response) in ids.iter().zip(forward(shared, run)) {
+        out.extend_from_slice(&frame::encode_response(*id, &response));
     }
-}
-
-/// Groups a run's requests by target `(shard, replica)` in order of first
-/// appearance, keeping request order within each group, and starts a new
-/// group for a target whose current one holds `cap` frames. Returns the
-/// request indices of each group.
-fn group_run(
-    targets: impl Iterator<Item = (usize, usize)>,
-    cap: usize,
-) -> Vec<((usize, usize), Vec<usize>)> {
-    let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-    for (i, target) in targets.enumerate() {
-        match groups.iter_mut().rev().find(|(t, _)| *t == target) {
-            Some((_, members)) if members.len() < cap => members.push(i),
-            _ => groups.push((target, vec![i])),
-        }
-    }
-    groups
+    ids.clear();
+    run.clear();
 }
 
 /// Forwards a run of `QUERY`/`EXPLAIN` requests (see the module docs) under
 /// one read guard of the epoch gate, so no run straddles a reload's commit
-/// wave. Each (shard, favorite replica) group is one pipelined exchange;
-/// replies come back in request order, every one booked on its own.
+/// wave. The pool sends it as one pipelined exchange per (shard, favorite
+/// replica); replies come back in request order, every one booked on its
+/// own.
 fn forward(shared: &Shared, requests: &[Request]) -> Vec<Response> {
     let _gate = shared.epoch_gate.read().unwrap();
-    let targets = requests.iter().map(|request| {
+    // Every reply's latency runs from here: a request whose exchange waited
+    // for another group's exchange books that wait too.
+    let t = Instant::now();
+    let route = |request: &Request| {
         let (_, q) = read_of(request);
-        let shard = shared.map.shard_of(q.user);
-        (shard, shared.pools.favorite(shard, affinity_key(q.user, q.k)))
-    });
-    let mut responses: Vec<Option<Response>> = requests.iter().map(|_| None).collect();
-    for ((shard, replica), members) in group_run(targets, HOP_BATCH) {
-        let batch: Vec<Request> = members.iter().map(|&i| requests[i].clone()).collect();
-        shared.counters.hop_exchanges.inc();
-        shared.counters.hop_frames.add(batch.len() as u64);
-        let t = Instant::now();
-        let outcome = shared.pools.exchange(shard, replica, &batch);
+        (shared.map.shard_of(q.user), affinity_key(q.user, q.k))
+    };
+    let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
+    shared.pools.exchange(requests, route, |members, outcome| {
         let us = t.elapsed().as_micros() as u64;
+        // A shed group never left the router.
+        if !matches!(outcome, Err(CallError::Saturated)) {
+            shared.counters.hop_exchanges.inc();
+            shared.counters.hop_frames.add(members.len() as u64);
+        }
         // Shard replies forward verbatim — the cluster is a drop-in for a
         // single server, error codes included.
         let replies = match outcome {
             Ok(replies) => replies,
-            Err(CallError::Saturated) => vec![Response::Busy; batch.len()],
+            Err(CallError::Saturated) => vec![Response::Busy; members.len()],
             Err(CallError::Unavailable(message)) => {
-                vec![Response::Err { code: ErrorCode::Internal, message }; batch.len()]
+                vec![Response::Err { code: ErrorCode::Internal, message }; members.len()]
             }
         };
         for (&i, response) in members.iter().zip(replies) {
             book_read(shared, &requests[i], &response, us);
             responses[i] = Some(response);
         }
-    }
-    responses.into_iter().map(|r| r.expect("every request is in one group")).collect()
+    });
+    responses.into_iter().map(|r| r.expect("every request is in one exchange")).collect()
 }
 
-/// Books one forwarded read: its outcome counter, its latency (`us`, the
-/// exchange it rode) and its flight/capture records under a fresh trace id.
+/// Books one forwarded read: its outcome counter, its latency (`us`, from
+/// the start of its run to the end of the exchange it rode) and its
+/// flight/capture records under a fresh trace id.
 fn book_read(shared: &Shared, request: &Request, response: &Response, us: u64) {
     let (verb, q) = read_of(request);
     match response {
@@ -1485,34 +1472,4 @@ fn handle_reload(shared: &Arc<Shared>) -> Response {
         );
     }
     Response::Reloaded(reply)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn runs_group_by_target_in_order_and_split_at_the_cap() {
-        let targets = [(0, 0), (1, 0), (0, 0), (0, 1), (1, 0), (0, 0), (0, 0)];
-        let groups = group_run(targets.iter().copied(), 3);
-        assert_eq!(
-            groups,
-            vec![
-                ((0, 0), vec![0, 2, 5]),
-                ((1, 0), vec![1, 4]),
-                ((0, 1), vec![3]),
-                ((0, 0), vec![6]),
-            ]
-        );
-        // A run of one is an exchange of one; an empty run sends nothing.
-        assert_eq!(group_run([(2, 1)].into_iter(), HOP_BATCH), vec![((2, 1), vec![0])]);
-        assert!(group_run(std::iter::empty(), HOP_BATCH).is_empty());
-        // A long run to one target fills exchanges up to the cap.
-        let sizes: Vec<usize> =
-            group_run(std::iter::repeat_n((0, 0), 2 * HOP_BATCH + 5), HOP_BATCH)
-                .iter()
-                .map(|(_, members)| members.len())
-                .collect();
-        assert_eq!(sizes, vec![HOP_BATCH, HOP_BATCH, 5]);
-    }
 }

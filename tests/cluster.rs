@@ -9,7 +9,7 @@
 //! scatter reply. Plus the §7.1 workload-sharding skew property: user-hash
 //! sharding keeps the high/mid/low query groups within 2× of uniform.
 
-use pitex::cluster::{Router, RouterHandle, RouterOptions, ShardMap};
+use pitex::cluster::{PoolOptions, Router, RouterHandle, RouterOptions, ShardMap};
 use pitex::prelude::*;
 use pitex::serve::frame::{self, FrameBuf, WireReply, MAX_REPLY_FRAME_BYTES};
 use pitex::serve::{
@@ -30,9 +30,13 @@ use std::time::Duration;
 const USERS: u32 = 7;
 
 fn boot_shard() -> ServerHandle {
+    boot_shard_with(ServeOptions::default())
+}
+
+fn boot_shard_with(options: ServeOptions) -> ServerHandle {
     let model = Arc::new(TicModel::paper_example());
     let handle = EngineHandle::new(model, EngineBackend::Exact, PitexConfig::default()).unwrap();
-    Server::spawn(handle, ("127.0.0.1", 0), ServeOptions::default()).unwrap()
+    Server::spawn(handle, ("127.0.0.1", 0), options).unwrap()
 }
 
 struct Cluster {
@@ -43,8 +47,13 @@ struct Cluster {
 }
 
 fn boot_cluster(shards: usize, replicas: usize) -> Cluster {
-    let servers: Vec<Vec<ServerHandle>> =
-        (0..shards).map(|_| (0..replicas).map(|_| boot_shard()).collect()).collect();
+    boot_cluster_with(shards, replicas, ServeOptions::default())
+}
+
+fn boot_cluster_with(shards: usize, replicas: usize, options: ServeOptions) -> Cluster {
+    let servers: Vec<Vec<ServerHandle>> = (0..shards)
+        .map(|_| (0..replicas).map(|_| boot_shard_with(options.clone())).collect())
+        .collect();
     let addrs: Vec<Vec<String>> =
         servers.iter().map(|shard| shard.iter().map(|s| s.addr().to_string()).collect()).collect();
     let map = ShardMap::new(addrs).unwrap();
@@ -290,32 +299,49 @@ fn a_dead_favorite_fails_over_once_per_exchange() {
     cluster.stop();
 }
 
-/// A run longer than the shards' per-connection pipelining cap is split
-/// into several exchanges and answered in full, with no `BUSY` anywhere.
+/// A run longer than the shards' per-connection pipelining cap, every
+/// frame a cache miss (the shards cache nothing, so each frame is a job on
+/// the shard's queue), goes out as exchanges of at most `max_in_flight`
+/// frames. The shards' job queues (as deep as `max_in_flight` by default)
+/// take every frame, and nothing answers `BUSY`.
 #[test]
-fn a_run_past_the_pipeline_cap_is_split_and_answered_in_full() {
-    let cluster = boot_cluster(2, 1);
+fn a_long_uncached_run_is_split_and_answered_in_full() {
+    let uncached = ServeOptions { cache_capacity: 0, ..ServeOptions::default() };
+    let cluster = boot_cluster_with(2, 1, uncached);
     let truth = ground_truth(&TicModel::paper_example());
     let mut admin = ServeClient::connect(cluster.router.addr()).unwrap();
-    // Warm the owning shard's cache so the long run is all cache hits.
-    let Response::Ok(_) = admin.query(0, 2).unwrap() else { panic!("warm-up must OK") };
     let before = admin.stats().unwrap();
 
-    let n = DEFAULT_PIPELINE_CAP + 100;
-    let burst: Vec<(u64, Request)> = (0..n as u64).map(|i| (i + 1, query(0))).collect();
+    let n = DEFAULT_PIPELINE_CAP as u64 + 100;
+    let burst: Vec<(u64, Request)> = (0..n).map(|i| (i + 1, query((i % 7) as u32))).collect();
     let replies = send_burst(cluster.router.addr(), &burst);
-    for (id, _) in &burst {
+    for (id, request) in &burst {
+        let Request::Query(q) = request else { unreachable!() };
         let Response::Ok(ok) = &replies[id] else { panic!("id {id}: {:?}", replies[id]) };
-        assert_eq!((&ok.tags, ok.spread.to_bits()), (&truth[0].0, truth[0].1.to_bits()));
+        let (tags, spread) = &truth[q.user as usize];
+        assert_eq!((&ok.tags, ok.spread.to_bits()), (tags, spread.to_bits()), "id {id}");
+        assert!(!ok.cached, "id {id}: the shards cache nothing");
     }
 
     let after = admin.stats().unwrap();
     let delta = |name: &str| router_counter(&after, name) - router_counter(&before, name);
-    assert_eq!(delta("router_ok"), n as u64);
+    assert_eq!(delta("router_ok"), n);
     assert_eq!(delta("router_busy"), 0);
     assert_eq!(after.get_u64("busy"), Some(0), "no shard shed a frame");
-    assert_eq!(delta("router_hop_frames"), n as u64);
-    assert!(delta("router_hop_exchanges") >= 2, "a run past the cap needs several exchanges");
+    assert_eq!(delta("router_hop_frames"), n);
+    // One connection: every exchange finds all slots free, so each shard's
+    // share of the run goes out in full exchanges of `max_in_flight`.
+    let slots = PoolOptions::default().max_in_flight as u64;
+    let exchanges: u64 = (0..2)
+        .map(|shard| {
+            let frames = burst
+                .iter()
+                .filter(|(_, r)| matches!(r, Request::Query(q) if cluster.map.shard_of(q.user) == shard))
+                .count() as u64;
+            frames.div_ceil(slots)
+        })
+        .sum();
+    assert_eq!(delta("router_hop_exchanges"), exchanges);
     cluster.stop();
 }
 
