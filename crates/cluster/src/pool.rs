@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Tuning for [`ShardPools`].
+/// Tuning for [`ShardPools`]. Pool connections always speak the pipelined
+/// `PFRM` binary frames.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolOptions {
     /// Idle connections kept per replica (checked-out connections are not
@@ -44,10 +45,6 @@ pub struct PoolOptions {
     pub probe_cooldown: Duration,
     /// TCP dial timeout for pool connections.
     pub connect_timeout: Duration,
-    /// Speak the pipelined `PFRM` binary frame protocol on the shard hop
-    /// (default). Text is kept as an escape hatch (`PITEX_CLUSTER_BINARY=0`
-    /// through the router) for debugging against `nc`-style shards.
-    pub binary: bool,
 }
 
 impl Default for PoolOptions {
@@ -57,7 +54,6 @@ impl Default for PoolOptions {
             max_in_flight: 64,
             probe_cooldown: Duration::from_millis(500),
             connect_timeout: Duration::from_secs(1),
-            binary: true,
         }
     }
 }
@@ -309,11 +305,7 @@ impl ShardPools {
     }
 
     fn connect(&self, replica: &Replica) -> std::io::Result<ServeClient> {
-        ServeClient::connect_with(
-            replica.addr.as_str(),
-            Some(self.options.connect_timeout),
-            self.options.binary,
-        )
+        ServeClient::connect_with(replica.addr.as_str(), Some(self.options.connect_timeout), true)
     }
 
     /// Runs `f` against one replica of `shard`, failing over to the next

@@ -56,16 +56,23 @@
 //!   the cluster-merged Prometheus exposition, the cluster health verdict
 //!   (`503` on page), and the router's local ring dumps.
 //! * `PFRM` binary frames — a connection opening with the frame magic
-//!   (sniffed exactly like the shard servers do) switches to the pipelined
-//!   binary protocol: same verbs, requests matched to replies by id, so
-//!   `ServeClient::connect_binary` and `pitex client --binary` talk to a
-//!   router as transparently as to a shard.
+//!   switches to the pipelined binary protocol: same verbs, requests
+//!   matched to replies by id, so `ServeClient::connect_binary` and
+//!   `pitex client --binary` talk to a router as transparently as to a
+//!   shard.
 //! * `PING` is answered locally; `SHUTDOWN` stops the router (shards are
 //!   managed by their own admins).
 //! * `CAPTURE on|off|rotate` — controls the *router's* PWRK workload
 //!   recorder (`PITEX_OBS_CAPTURE`): the front-door arrival stream, which
 //!   is what `pitex replay` wants for whole-cluster replays. Shards keep
 //!   their own recorders with the resolved-backend view.
+//!
+//! The router is a [`Service`] behind the shared front door
+//! ([`pitex_serve::frontend`]): its acceptor, protocol sniffing, text/HTTP
+//! line loop and blocking `PFRM` burst loop are the same code a shard
+//! falls back to without epoll. A run of reads reaches `forward` through
+//! [`Service::call_run`], every other verb `handle_request` through
+//! [`Service::call`].
 //!
 //! The router trusts the map, not a directory service: everything is a
 //! pure function of the `ShardMap` file, and the only cluster-wide state
@@ -74,7 +81,7 @@
 use crate::pool::{CallError, PoolOptions, ShardPools};
 use crate::shardmap::ShardMap;
 use pitex_live::UpdateOp;
-use pitex_serve::frame::{self, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
+use pitex_serve::frontend::{self, Door, Handled, Service};
 use pitex_serve::{
     http, CaptureAction, ErrorCode, FlightReply, FlightWireEntry, QueryRequest, ReloadReply,
     Request, Response, StatsReply, TraceReply, TraceRequest,
@@ -87,9 +94,7 @@ use pitex_support::obs::{
     Registry, SpanRecorder,
 };
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -133,8 +138,7 @@ impl RouterOptions {
     /// `BUSY`), `PITEX_CLUSTER_IDLE_CONNS` (pooled idle connections per
     /// replica), `PITEX_CLUSTER_PROBE_MS` (prober interval),
     /// `PITEX_CLUSTER_COOLDOWN_MS` (down-replica cooldown),
-    /// `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`, `PITEX_CLUSTER_BINARY` (`0` drops
-    /// the shard hop back to the text protocol).
+    /// `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`.
     pub fn with_env(mut self) -> Self {
         if let Some(v) = env_u64("PITEX_CLUSTER_MAX_IN_FLIGHT") {
             self.pool.max_in_flight = v as usize;
@@ -150,9 +154,6 @@ impl RouterOptions {
         }
         if let Some(v) = env_u64("PITEX_CLUSTER_CONNECT_TIMEOUT_MS") {
             self.pool.connect_timeout = Duration::from_millis(v);
-        }
-        if let Ok(v) = std::env::var("PITEX_CLUSTER_BINARY") {
-            self.pool.binary = v != "0";
         }
         self
     }
@@ -193,8 +194,8 @@ impl Counters {
 }
 
 struct Shared {
-    stop: AtomicBool,
-    reaped_panic: AtomicBool,
+    /// The stop flag and the connection threads.
+    door: Door,
     map: ShardMap,
     pools: ShardPools,
     options: RouterOptions,
@@ -225,14 +226,10 @@ struct Shared {
     /// to this router process; shards control their own recorders).
     capture: CaptureRecorder,
     started: Instant,
-    connections: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Poll interval for stop-flag checks while blocked on I/O.
+/// How often the prober thread checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
-
-/// Longest accepted request line (mirrors the shard servers).
-const MAX_LINE_BYTES: usize = 4 * 1024;
 
 /// Namespace for [`Router::spawn`].
 pub struct Router;
@@ -248,7 +245,6 @@ impl Router {
         options: RouterOptions,
     ) -> std::io::Result<RouterHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let pools = ShardPools::new(&map, options.pool);
         let registry = Registry::new();
@@ -262,8 +258,7 @@ impl Router {
         let capture =
             CaptureRecorder::new(options.capture.clone().unwrap_or_else(CaptureOptions::from_env))?;
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            reaped_panic: AtomicBool::new(false),
+            door: Door::new(addr),
             map,
             pools,
             options,
@@ -277,7 +272,6 @@ impl Router {
             flight: FlightRecorder::new(ObsOptions::from_env()),
             capture,
             started: Instant::now(),
-            connections: Mutex::new(Vec::new()),
         });
 
         let mut threads = Vec::with_capacity(3);
@@ -286,7 +280,7 @@ impl Router {
             threads.push(
                 std::thread::Builder::new()
                     .name("pitex-router-acceptor".to_string())
-                    .spawn(move || acceptor_loop(&shared, &listener))?,
+                    .spawn(move || frontend::serve(shared, listener))?,
             );
         }
         {
@@ -325,12 +319,12 @@ impl RouterHandle {
     /// Requests a graceful stop (idempotent; also triggered by a client's
     /// `SHUTDOWN`). The shard servers are untouched.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.door.stop();
     }
 
     /// Whether a shutdown has been requested.
     pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.door.stopping()
     }
 
     /// Blocks until the router has fully stopped and reaps every thread.
@@ -342,15 +336,7 @@ impl RouterHandle {
                 result = Err(panic);
             }
         }
-        for conn in self.shared.connections.lock().unwrap().drain(..) {
-            if let Err(panic) = conn.join() {
-                result = Err(panic);
-            }
-        }
-        if result.is_ok() && self.shared.reaped_panic.load(Ordering::SeqCst) {
-            result = Err(Box::new("a router connection thread panicked (reaped mid-run)"));
-        }
-        result
+        result.and(self.shared.door.join())
     }
 
     /// Convenience for tests and the CLI: shut down, then join.
@@ -360,9 +346,9 @@ impl RouterHandle {
     }
 }
 
-fn prober_loop(shared: &Arc<Shared>) {
+fn prober_loop(shared: &Shared) {
     let mut last_probe = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !shared.door.stopping() {
         std::thread::sleep(POLL.min(shared.options.probe_interval));
         if last_probe.elapsed() >= shared.options.probe_interval {
             // Catch-up drives a stale replica through UPDATE/PREPARE/COMMIT
@@ -380,288 +366,10 @@ fn prober_loop(shared: &Arc<Shared>) {
 /// configured tick it snapshots the router's *own* field list into the
 /// rolling rings. It deliberately does not scatter to the shards — a tick
 /// must stay cheap and local; shard rings are read shard-side.
-fn sampler_loop(shared: &Arc<Shared>) {
-    let tick = shared.timeseries.options().tick;
-    let mut next = Instant::now() + tick;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(POLL.min(next - now));
-            continue;
-        }
-        let fields = router_fields(shared, 0).into_fields();
-        shared.timeseries.tick(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        next = Instant::now() + tick;
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                let conn_shared = shared.clone();
-                let conn = std::thread::Builder::new()
-                    .name("pitex-router-conn".to_string())
-                    .spawn(move || connection_loop(&conn_shared, stream));
-                if let Ok(handle) = conn {
-                    // Reap finished connection threads as we go (same
-                    // policy as the shard servers).
-                    let mut conns = shared.connections.lock().unwrap();
-                    let mut live = Vec::with_capacity(conns.len() + 1);
-                    for conn in conns.drain(..) {
-                        if conn.is_finished() {
-                            if conn.join().is_err() {
-                                shared.reaped_panic.store(true, Ordering::SeqCst);
-                            }
-                        } else {
-                            live.push(conn);
-                        }
-                    }
-                    live.push(handle);
-                    *conns = live;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-/// What the first bytes of a fresh connection revealed about its protocol
-/// (the shard servers' sniffing idiom, shared via `pitex_serve::frame`).
-enum Sniffed {
-    /// The 4-byte `PFRM` magic: a binary pipelined client.
-    Binary(Vec<u8>),
-    /// Anything else — the text protocol or an HTTP `GET`. Carries the
-    /// sniffed bytes to re-chain in front of the stream.
-    Text(Vec<u8>),
-    /// Closed (or the router is stopping) before the protocol was decided.
-    Closed,
-}
-
-/// Reads at most 4 bytes to classify a connection's protocol. One
-/// mismatching byte decides `Text` immediately, so a text client's first
-/// request is never delayed waiting for 4 bytes to accumulate.
-fn sniff(shared: &Shared, mut stream: &TcpStream) -> Sniffed {
-    let mut buf = [0u8; 4];
-    let mut got = 0;
-    loop {
-        if !frame::could_be_frame(&buf[..got]) {
-            return Sniffed::Text(buf[..got].to_vec());
-        }
-        if got == buf.len() {
-            return Sniffed::Binary(buf.to_vec());
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 { Sniffed::Closed } else { Sniffed::Text(buf[..got].to_vec()) }
-            }
-            Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Sniffed::Closed;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Sniffed::Closed,
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    match sniff(shared, &stream) {
-        Sniffed::Binary(head) => binary_connection_loop(shared, stream, head),
-        Sniffed::Text(head) => text_connection_loop(shared, stream, head),
-        Sniffed::Closed => {}
-    }
-}
-
-/// The pipelined `PFRM` loop: each pass admits every complete frame
-/// buffered so far and answers them in arrival order, then flushes the
-/// burst's replies with one write. Consecutive `QUERY`/`EXPLAIN` frames
-/// collect into a run that is forwarded as one pipelined exchange per
-/// (shard, replica) when the run ends — at any other verb, at a bad frame,
-/// or at the end of the burst — so writes and `QUIT` keep their place in
-/// the order.
-fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut frames = FrameBuf::new(MAX_REQUEST_FRAME_BYTES);
-    frames.extend(&head);
-    let mut reader = stream;
-    // Large enough that one pass can admit a run past the shards'
-    // per-connection pipelining cap.
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut eof = false;
-    // The pending run: request ids and requests, kept across passes.
-    let mut ids: Vec<u64> = Vec::new();
-    let mut run: Vec<Request> = Vec::new();
-    loop {
-        let mut out: Vec<u8> = Vec::new();
-        let mut close = false;
-        while !close {
-            let payload = match frames.next_payload() {
-                Ok(Some(payload)) => payload,
-                Ok(None) => break,
-                Err(FrameError::Oversized { len, cap }) => {
-                    forward_run(shared, &mut ids, &mut run, &mut out);
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("frame payload of {len} bytes exceeds {cap} bytes"),
-                    };
-                    out.extend_from_slice(&frame::encode_response(0, &response));
-                    close = true;
-                    break;
-                }
-                Err(_) => {
-                    // Desynchronized mid-stream: no reply can be framed
-                    // reliably, so answer what came before and close.
-                    forward_run(shared, &mut ids, &mut run, &mut out);
-                    shared.counters.errors.inc();
-                    close = true;
-                    break;
-                }
-            };
-            match frame::decode_request(&payload) {
-                Ok((id, request @ (Request::Query(_) | Request::Explain(_)))) => {
-                    shared.counters.requests.inc();
-                    ids.push(id);
-                    run.push(request);
-                }
-                Ok((id, request)) => {
-                    forward_run(shared, &mut ids, &mut run, &mut out);
-                    match handle_request(shared, request) {
-                        Handled::Reply(response, close_after) => {
-                            out.extend_from_slice(&frame::encode_response(id, &response));
-                            close |= close_after;
-                        }
-                        Handled::Raw(text) => {
-                            out.extend_from_slice(&frame::encode_raw_response(id, &text));
-                        }
-                    }
-                }
-                Err(e) => {
-                    forward_run(shared, &mut ids, &mut run, &mut out);
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("malformed binary request: {e}"),
-                    };
-                    out.extend_from_slice(&frame::encode_response(
-                        frame::payload_id(&payload),
-                        &response,
-                    ));
-                }
-            }
-        }
-        forward_run(shared, &mut ids, &mut run, &mut out);
-        if !out.is_empty() && writer.write_all(&out).is_err() {
-            return;
-        }
-        if close || eof {
-            return;
-        }
-        match reader.read(&mut buf) {
-            Ok(0) => eof = true, // one more pass to admit buffered frames
-            Ok(n) => frames.extend(&buf[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// The classic blocking text/HTTP loop. `head` holds the bytes the sniffer
-/// consumed before deciding the protocol; chaining them in front of the
-/// stream makes the hand-off invisible to the line reader.
-fn text_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(Cursor::new(head).chain(stream));
-    let mut line = String::new();
-    loop {
-        // Same partial-line and budget discipline as the shard servers:
-        // fragmented writes reassemble, a newline-free flood is cut off.
-        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match std::io::Read::take(&mut reader, budget).read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if line.len() > MAX_LINE_BYTES {
-                    oversized_line_reply(shared, &mut writer);
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        if line.len() > MAX_LINE_BYTES {
-            oversized_line_reply(shared, &mut writer);
-            return;
-        }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        // HTTP auto-detection (the PSHM/PWRK magic-sniffing idiom, shared
-        // with the shard servers): a GET request line on the protocol port
-        // becomes a one-shot scrape — answer and close.
-        if let Some(path) = http::request_path(line.trim()) {
-            let path = path.to_string();
-            if http::drain_headers(&mut reader, &shared.stop) {
-                let _ = writer.write_all(http_get(shared, &path).as_bytes());
-            }
-            return;
-        }
-        let handled = handle_line(shared, line.trim());
-        line.clear();
-        let (out, close) = match handled {
-            Handled::Reply(response, close) => {
-                let mut out = response.to_line();
-                out.push('\n');
-                (out, close)
-            }
-            // The one multi-line response (`METRICS`): written verbatim,
-            // framed by its `# EOF` terminator.
-            Handled::Raw(text) => (text, false),
-        };
-        if writer.write_all(out.as_bytes()).is_err() {
-            return;
-        }
-        if close {
-            return;
-        }
-    }
-}
-
-fn oversized_line_reply(shared: &Arc<Shared>, writer: &mut TcpStream) {
-    shared.counters.requests.inc();
-    shared.counters.errors.inc();
-    let response = Response::Err {
-        code: ErrorCode::BadRequest,
-        message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    };
-    let mut out = response.to_line();
-    out.push('\n');
-    let _ = writer.write_all(out.as_bytes());
+fn sampler_loop(shared: &Shared) {
+    shared
+        .timeseries
+        .run_sampler(shared.door.stop_flag(), || router_fields(shared, 0).into_fields());
 }
 
 fn internal(shared: &Shared, message: String) -> Response {
@@ -669,27 +377,8 @@ fn internal(shared: &Shared, message: String) -> Response {
     Response::Err { code: ErrorCode::Internal, message }
 }
 
-/// A dispatched request line: a single-line [`Response`] (plus a
-/// close-connection flag), or pre-rendered multi-line text (`METRICS`).
-enum Handled {
-    Reply(Response, bool),
-    Raw(String),
-}
-
-/// Dispatches one request line.
-fn handle_line(shared: &Arc<Shared>, line: &str) -> Handled {
-    match Request::parse(line) {
-        Ok(request) => handle_request(shared, request),
-        Err(reason) => {
-            shared.counters.requests.inc();
-            shared.counters.errors.inc();
-            Handled::Reply(Response::Err { code: ErrorCode::BadRequest, message: reason }, false)
-        }
-    }
-}
-
-/// Dispatches one parsed request — shared by the text and binary loops.
-fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
+/// Dispatches one parsed request of any verb.
+fn handle_request(shared: &Shared, request: Request) -> Handled {
     shared.counters.requests.inc();
     let reply = |response: Response, close: bool| Handled::Reply(response, close);
     let denied = || {
@@ -701,7 +390,7 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
         Request::Ping => reply(Response::Pong, false),
         Request::Quit => reply(Response::Bye, true),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.door.stop();
             reply(Response::Bye, true)
         }
         // A text line is a run of one. EXPLAIN forwards verbatim like
@@ -756,6 +445,33 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
     }
 }
 
+impl Service for Shared {
+    fn call(&self, request: Request) -> Handled {
+        handle_request(self, request)
+    }
+
+    fn call_run(&self, run: &[Request]) -> Vec<Response> {
+        self.counters.requests.add(run.len() as u64);
+        forward(self, run)
+    }
+
+    fn http_get(&self, path: &str) -> String {
+        http_get(self, path)
+    }
+
+    fn door(&self) -> &Door {
+        &self.door
+    }
+
+    fn requests(&self) -> &Counter {
+        &self.counters.requests
+    }
+
+    fn errors(&self) -> &Counter {
+        &self.counters.errors
+    }
+}
+
 /// The splitmix64 finalizer (same mix the shard map uses), keying replica
 /// affinity on `(user, k)` — the result-cache key minus the backend, so an
 /// `auto` query and its resolved-backend repeats share a favorite replica.
@@ -765,16 +481,6 @@ fn affinity_key(user: u32, k: usize) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Maps a final response to the flight-recorder outcome tag.
-fn outcome_of(response: &Response) -> &'static str {
-    match response {
-        Response::Busy => "busy",
-        Response::Err { code: ErrorCode::Deadline, .. } => "deadline",
-        Response::Err { .. } => "error",
-        _ => "ok",
-    }
 }
 
 /// Records one routed request into the flight ring and (sampled) into the
@@ -832,19 +538,6 @@ fn read_of(request: &Request) -> (&'static str, &QueryRequest) {
         Request::Explain(q) => ("EXPLAIN", q),
         _ => unreachable!("only QUERY/EXPLAIN are forwarded in runs"),
     }
-}
-
-/// Forwards the binary loop's pending run (if any), appends its replies to
-/// `out` under the client's own request ids, and empties the run.
-fn forward_run(shared: &Shared, ids: &mut Vec<u64>, run: &mut Vec<Request>, out: &mut Vec<u8>) {
-    if run.is_empty() {
-        return;
-    }
-    for (id, response) in ids.iter().zip(forward(shared, run)) {
-        out.extend_from_slice(&frame::encode_response(*id, &response));
-    }
-    ids.clear();
-    run.clear();
 }
 
 /// Forwards a run of `QUERY`/`EXPLAIN` requests (see the module docs) under
@@ -912,7 +605,7 @@ fn book_read(shared: &Shared, request: &Request, response: &Response, us: u64) {
         q.k,
         q.backend.map(|b| b.cli_name()),
         resolved,
-        outcome_of(response),
+        response.outcome(),
         us,
         tags,
         spread,
@@ -925,7 +618,7 @@ fn book_read(shared: &Shared, request: &Request, response: &Response, us: u64) {
 /// and the part of the hop the shard cannot see (pool checkout,
 /// serialization, both network legs) becomes the `net` span. One trace id,
 /// one timeline, two processes.
-fn handle_trace(shared: &Arc<Shared>, t: TraceRequest) -> Response {
+fn handle_trace(shared: &Shared, t: TraceRequest) -> Response {
     let _gate = shared.epoch_gate.read().unwrap();
     let trace_id = t.trace_id.unwrap_or_else(mint_trace_id);
     let q = t.query;
@@ -1003,7 +696,7 @@ fn handle_trace(shared: &Arc<Shared>, t: TraceRequest) -> Response {
         q.k,
         q.backend.map(|b| b.cli_name()),
         "-",
-        outcome_of(&response),
+        response.outcome(),
         us,
         tags,
         spread,
@@ -1011,7 +704,7 @@ fn handle_trace(shared: &Arc<Shared>, t: TraceRequest) -> Response {
     response
 }
 
-fn handle_epoch(shared: &Arc<Shared>) -> Response {
+fn handle_epoch(shared: &Shared) -> Response {
     let _gate = shared.epoch_gate.read().unwrap();
     shared.counters.scatters.inc();
     let mut epochs = BTreeSet::new();
@@ -1050,7 +743,7 @@ fn handle_epoch(shared: &Arc<Shared>) -> Response {
 /// hand-maintained field table this replaces silently dropped any shard
 /// field it forgot; now a field without a registered rule fails the merge
 /// loudly, naming the field.
-fn merged_shard_fields(shared: &Arc<Shared>) -> Result<Vec<(String, String)>, String> {
+fn merged_shard_fields(shared: &Shared) -> Result<Vec<(String, String)>, String> {
     let mut merged = MergedFields::new();
     for shard in 0..shared.pools.num_shards() {
         // Scatter policy: down-marked replicas are skipped (not re-dialed
@@ -1102,7 +795,7 @@ fn router_fields(shared: &Shared, replies: u64) -> FieldSet {
     fields
 }
 
-fn handle_stats(shared: &Arc<Shared>) -> Response {
+fn handle_stats(shared: &Shared) -> Response {
     let _gate = shared.epoch_gate.read().unwrap();
     shared.counters.scatters.inc();
     match merged_shard_fields(shared) {
@@ -1114,7 +807,7 @@ fn handle_stats(shared: &Arc<Shared>) -> Response {
 /// `METRICS` at the router: the same merged field list `STATS` reports,
 /// rendered as Prometheus text exposition — one scrape endpoint for the
 /// whole cluster.
-fn handle_metrics(shared: &Arc<Shared>) -> Handled {
+fn handle_metrics(shared: &Shared) -> Handled {
     let _gate = shared.epoch_gate.read().unwrap();
     shared.counters.scatters.inc();
     match merged_shard_fields(shared) {
@@ -1140,7 +833,7 @@ fn handle_series(shared: &Shared, field: &str, res: Option<SeriesRes>) -> Respon
 }
 
 /// `HEALTH` at the router: the cluster verdict — see [`cluster_health`].
-fn handle_health(shared: &Arc<Shared>) -> Response {
+fn handle_health(shared: &Shared) -> Response {
     let _gate = shared.epoch_gate.read().unwrap();
     shared.counters.scatters.inc();
     Response::Health(cluster_health(shared))
@@ -1154,7 +847,7 @@ fn handle_health(shared: &Arc<Shared>) -> Response {
 /// contributes a synthetic paging `reachability` verdict instead of
 /// silently vanishing from the aggregate: the moment health matters most
 /// is when a shard is down.
-fn cluster_health(shared: &Arc<Shared>) -> HealthVerdict {
+fn cluster_health(shared: &Shared) -> HealthVerdict {
     let mut slos = Vec::new();
     for shard in 0..shared.pools.num_shards() {
         let origin = format!("shard{shard}");
@@ -1186,7 +879,7 @@ fn cluster_health(shared: &Arc<Shared>) -> HealthVerdict {
 /// Routes one sniffed `GET` to its body and frames the HTTP response:
 /// `/metrics` and `/health` answer for the whole cluster (merged fields,
 /// merged verdict), `/series` for the router's local rings.
-fn http_get(shared: &Arc<Shared>, path: &str) -> String {
+fn http_get(shared: &Shared, path: &str) -> String {
     let (route, query) = match path.split_once('?') {
         Some((route, query)) => (route, query),
         None => (path, ""),
@@ -1265,7 +958,7 @@ const FLIGHT_REPLY_CAP: usize = 64;
 
 /// Dumps the router's flight recorder: the recent-request ring plus the
 /// retained slow queries.
-fn handle_flight(shared: &Arc<Shared>) -> Response {
+fn handle_flight(shared: &Shared) -> Response {
     let wire = |e: &FlightEntry| FlightWireEntry {
         trace_id: e.trace_id,
         verb: e.verb.to_string(),
@@ -1289,7 +982,7 @@ fn handle_flight(shared: &Arc<Shared>) -> Response {
 
 /// `CAPTURE on|off|rotate` against the router's own workload recorder
 /// (mirrors the shard servers' handler).
-fn handle_capture(shared: &Arc<Shared>, action: CaptureAction) -> Response {
+fn handle_capture(shared: &Shared, action: CaptureAction) -> Response {
     if !shared.capture.configured() {
         shared.counters.errors.inc();
         return Response::Err {
@@ -1328,7 +1021,7 @@ fn target_shards(map: &ShardMap, op: &UpdateOp) -> Vec<usize> {
     }
 }
 
-fn handle_update(shared: &Arc<Shared>, op: UpdateOp) -> Response {
+fn handle_update(shared: &Shared, op: UpdateOp) -> Response {
     let _admin = shared.admin_serial.lock().unwrap();
     let _gate = shared.epoch_gate.read().unwrap();
     shared.counters.updates.inc();
@@ -1372,7 +1065,7 @@ fn handle_update(shared: &Arc<Shared>, op: UpdateOp) -> Response {
 }
 
 /// The cluster-wide reload barrier — see the module docs for the phases.
-fn handle_reload(shared: &Arc<Shared>) -> Response {
+fn handle_reload(shared: &Shared) -> Response {
     let _admin = shared.admin_serial.lock().unwrap();
     let num_shards = shared.pools.num_shards();
 

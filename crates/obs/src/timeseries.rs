@@ -31,8 +31,9 @@
 use crate::hist::LatencyHistogram;
 use crate::metrics::{capture_for, pattern_subst, spec_for, MergeRule, MetricKind};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`TimeSeriesStore`], resolved once at boot.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -288,6 +289,32 @@ impl TimeSeriesStore {
     /// Ticks absorbed so far.
     pub fn ticks(&self) -> u64 {
         self.inner.lock().unwrap().tick_no
+    }
+
+    /// The background sampler loop: absorbs one pass over `fields` per
+    /// tick until `stop` is set. Ticks stay on a grid anchored at the call,
+    /// however long each pass takes, so the windows of processes booted
+    /// together stay in phase instead of drifting apart by their sampling
+    /// cost. Boundaries slept through are skipped, not replayed: an idle
+    /// machine that oversleeps gets one fresh sample, not a burst of stale
+    /// ones. The wait is sliced so a stop lands within 50 ms.
+    pub fn run_sampler(&self, stop: &AtomicBool, fields: impl Fn() -> Vec<(String, String)>) {
+        const SLICE: Duration = Duration::from_millis(50);
+        let tick = self.options.tick.max(Duration::from_millis(1));
+        let mut next = Instant::now() + tick;
+        while !stop.load(Ordering::SeqCst) {
+            let now = Instant::now();
+            if now < next {
+                std::thread::sleep(SLICE.min(next - now));
+                continue;
+            }
+            let fields = fields();
+            self.tick(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            let now = Instant::now();
+            while next <= now {
+                next += tick;
+            }
+        }
     }
 
     /// Absorbs one sampler pass over the full stats-field export. Fields

@@ -11,6 +11,10 @@
 //!   engine's `&mut self` memoisation needs no locks.
 //! * **Line protocol** ([`protocol`]) — `QUERY <user> <k>` in, one reply
 //!   line out; scriptable with `nc` and spoken by `pitex client`.
+//! * **One front door** ([`frontend`]) — the acceptor, protocol sniffing,
+//!   the text/HTTP line loop and the blocking `PFRM` loop, generic over a
+//!   [`frontend::Service`]; the shard server and the cluster router both
+//!   serve through it.
 //! * **Bounded queue + load shedding** ([`server`]) — a full request queue
 //!   answers `BUSY` instead of growing; per-request deadlines answer
 //!   `ERR DEADLINE` instead of running work nobody awaits.
@@ -84,10 +88,15 @@
 
 pub mod client;
 pub mod frame;
+pub mod frontend;
 pub mod http;
 pub mod protocol;
 pub mod server;
 pub mod workload;
+
+#[cfg(test)]
+#[path = "../testkit/frontdoor.rs"]
+mod frontdoor_checks;
 
 pub use client::{LoadGen, LoadReport, ServeClient};
 pub use protocol::{

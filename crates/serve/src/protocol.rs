@@ -882,6 +882,16 @@ fn kv<'a>(token: &'a str, key: &str) -> Result<&'a str, String> {
 }
 
 impl Response {
+    /// The flight-recorder and capture outcome tag of a final reply.
+    pub fn outcome(&self) -> &'static str {
+        match self {
+            Response::Busy => "busy",
+            Response::Err { code: ErrorCode::Deadline, .. } => "deadline",
+            Response::Err { .. } => "error",
+            _ => "ok",
+        }
+    }
+
     /// Serializes to a protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         match self {

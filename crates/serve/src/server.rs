@@ -1,13 +1,18 @@
 //! The multi-threaded query server.
 //!
-//! Topology: one acceptor thread, one lightweight thread per client
-//! connection, and a fixed pool of worker threads that each own a private
-//! [`PitexEngine`] built from the shared
-//! [`EngineHandle`] (the engine's `&mut self` memoisation stays
-//! single-threaded by construction). Connections and workers meet at a
-//! *bounded* job queue: when it is full the connection answers `BUSY`
-//! immediately instead of queueing unboundedly — under overload the server
-//! sheds load and stays responsive rather than building latency.
+//! Topology: one front-end thread, a fixed pool of worker threads that each
+//! own a private [`PitexEngine`] built from the shared [`EngineHandle`]
+//! (the engine's `&mut self` memoisation stays single-threaded by
+//! construction), and a background sampler. The front end is the
+//! readiness-driven event loop for binary `PFRM` clients;
+//! it hands text and HTTP connections to the [`crate::frontend`] line loop
+//! on threads of their own. Where the platform has no epoll the whole front
+//! door is the [`crate::frontend`] blocking acceptor instead. Either way the
+//! server is a [`Service`], so both front ends answer through the same verb
+//! switch. Connections and workers meet at a *bounded* job queue: when it is
+//! full the connection answers `BUSY` immediately instead of queueing
+//! unboundedly — under overload the server sheds load and stays responsive
+//! rather than building latency.
 //!
 //! Each request carries a deadline (client-supplied `timeout_us` or the
 //! server default). A request that is still queued when its deadline passes
@@ -15,9 +20,9 @@
 //! doing work nobody is waiting for anymore.
 //!
 //! The `(user, k, backend)` result cache is consulted on the connection
-//! thread, *before* the queue: repeated queries never cost a queue slot or a
+//! side, *before* the queue: repeated queries never cost a queue slot or a
 //! sampling pass. Shutdown is graceful: `ServerHandle::shutdown` (or the
-//! `SHUTDOWN` verb) stops the acceptor, lets workers drain in-flight jobs,
+//! `SHUTDOWN` verb) stops the front end, lets workers drain in-flight jobs,
 //! unblocks idle connections, and `join` reaps every thread.
 //!
 //! ## Live updates
@@ -38,7 +43,7 @@
 //! sweep runs after the swap, so the stale-insert race is closed from both
 //! sides.
 
-use crate::frame::{self, could_be_frame, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
+use crate::frontend::{Door, Handled, Service, POLL};
 use crate::http;
 use crate::protocol::{
     CaptureAction, ErrorCode, ExplainReply, FlightReply, FlightWireEntry, QueryReply, ReloadReply,
@@ -62,8 +67,8 @@ use pitex_support::obs::{
 };
 use pitex_support::stats::{LatencyHistogram, OnlineStats};
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Cursor, ErrorKind, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -101,13 +106,6 @@ pub struct ServeOptions {
     /// `PITEX_OBS_CAPTURE` / `PITEX_OBS_CAPTURE_RATE` from the
     /// environment at spawn.
     pub capture: Option<CaptureOptions>,
-    /// Whether the readiness-driven event-loop front end accepts
-    /// connections (binary `PFRM` clients stay on the loop; text and HTTP
-    /// clients are handed to classic per-connection threads). `None` reads
-    /// `PITEX_SERVE_EVENT_LOOP` from the environment (default on); either
-    /// way the server falls back to the thread-per-connection acceptor on
-    /// platforms without epoll.
-    pub event_loop: Option<bool>,
 }
 
 impl Default for ServeOptions {
@@ -121,7 +119,6 @@ impl Default for ServeOptions {
             repair: RepairOptions::default(),
             wal: None,
             capture: None,
-            event_loop: None,
         }
     }
 }
@@ -273,12 +270,10 @@ struct AdminState {
     history_base: u64,
 }
 
-/// Everything the acceptor, connections and workers share.
+/// Everything the front end, connections and workers share.
 struct Shared {
-    stop: AtomicBool,
-    /// Set when a reaped connection thread had panicked, so `join` can
-    /// still report it after the handle itself is gone.
-    reaped_panic: AtomicBool,
+    /// The stop flag and the connection threads.
+    door: Door,
     /// The epoch-versioned snapshot currently being served.
     store: SnapshotStore,
     admin_state: Mutex<AdminState>,
@@ -295,8 +290,6 @@ struct Shared {
     /// Service-time distribution of `OK` replies, in microseconds.
     latency: Mutex<(LatencyHistogram, OnlineStats)>,
     started: Instant,
-    /// Connection threads spawned by the acceptor, reaped on `join`.
-    connections: Mutex<Vec<JoinHandle<()>>>,
     /// Fault injection (`PITEX_OBS_STALL_US`, 0 = off): every query's
     /// execute phase sleeps this long on the worker. Exists so health
     /// drills — tests, CI, operators rehearsing an incident — can produce
@@ -304,18 +297,10 @@ struct Shared {
     stall_us: u64,
 }
 
-/// Poll interval for stop-flag checks while blocked on I/O or the queue.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Longest accepted request line. Far beyond any legal request; a client
-/// that exceeds it (e.g. never sends a newline) is answered once and
-/// disconnected instead of growing server memory without bound.
-const MAX_LINE_BYTES: usize = 4 * 1024;
-
-/// Default per-connection pipelining cap of the binary event loop
-/// (`PITEX_SERVE_PIPELINE` overrides it): in-flight requests one
-/// connection may hold before further ones in its burst answer `BUSY`.
-/// A router never puts more frames than this on one shard connection.
+/// Per-connection pipelining cap of the binary event loop: in-flight
+/// requests one connection may hold before further ones in its burst
+/// answer `BUSY`. A router never puts more frames than this on one shard
+/// connection.
 pub const DEFAULT_PIPELINE_CAP: usize = 1024;
 
 /// What boot-time WAL recovery hands to [`Server::spawn`]: the (possibly
@@ -420,12 +405,24 @@ fn restore_from_wal(
 pub struct Server;
 
 impl Server {
-    /// Binds `addr` (port 0 picks an ephemeral port), spawns the acceptor
+    /// Binds `addr` (port 0 picks an ephemeral port), spawns the front end
     /// and `options.workers` workers, and returns immediately.
     pub fn spawn(
         handle: EngineHandle,
         addr: impl ToSocketAddrs,
         options: ServeOptions,
+    ) -> std::io::Result<ServerHandle> {
+        Self::spawn_on(handle, addr, options, event_loop::run)
+    }
+
+    /// [`spawn`](Self::spawn) with `front` as the front end: the event
+    /// loop, or for tests the blocking acceptor that platforms without
+    /// epoll fall back to.
+    fn spawn_on(
+        handle: EngineHandle,
+        addr: impl ToSocketAddrs,
+        options: ServeOptions,
+        front: fn(Arc<Shard>, TcpListener),
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -500,8 +497,7 @@ impl Server {
         let capture_recorder =
             CaptureRecorder::new(options.capture.clone().unwrap_or_else(CaptureOptions::from_env))?;
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            reaped_panic: AtomicBool::new(false),
+            door: Door::new(addr),
             cache: ShardedLru::with_shards(options.cache_capacity, workers.max(4)),
             store: SnapshotStore::new_at(handle, epoch),
             admin_state: Mutex::new(AdminState {
@@ -524,7 +520,6 @@ impl Server {
             },
             latency: Mutex::new((LatencyHistogram::new(), OnlineStats::new())),
             started: Instant::now(),
-            connections: Mutex::new(Vec::new()),
             stall_us: std::env::var("PITEX_OBS_STALL_US")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -556,24 +551,12 @@ impl Server {
                     .spawn(move || sampler_loop(&shared))?,
             );
         }
-        {
-            // The readiness-driven event loop is the default front end; it
-            // falls back to the classic thread-per-connection acceptor when
-            // disabled (`PITEX_SERVE_EVENT_LOOP=0` / `ServeOptions`) or when
-            // the platform has no epoll.
-            let use_event_loop = shared.options.event_loop.unwrap_or_else(|| {
-                std::env::var("PITEX_SERVE_EVENT_LOOP").map(|v| v != "0").unwrap_or(true)
-            });
-            let shared = shared.clone();
-            let name = if use_event_loop { "pitex-evloop" } else { "pitex-acceptor" };
-            threads.push(std::thread::Builder::new().name(name.to_string()).spawn(move || {
-                if use_event_loop {
-                    event_loop::run(&shared, listener, &job_tx);
-                } else {
-                    acceptor_loop(&shared, &listener, &job_tx);
-                }
-            })?);
-        }
+        let shard = Arc::new(Shard { shared: shared.clone(), job_tx });
+        threads.push(
+            std::thread::Builder::new()
+                .name("pitex-front".to_string())
+                .spawn(move || front(shard, listener))?,
+        );
         Ok(ServerHandle { addr, shared, threads: Mutex::new(threads) })
     }
 }
@@ -594,12 +577,12 @@ impl ServerHandle {
     /// Requests a graceful stop (idempotent; also triggered by the
     /// `SHUTDOWN` verb). In-flight queries finish and get their replies.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.door.stop();
     }
 
     /// Whether a shutdown has been requested.
     pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.door.stopping()
     }
 
     /// Blocks until the server has fully stopped (after
@@ -613,15 +596,7 @@ impl ServerHandle {
                 result = Err(panic);
             }
         }
-        for conn in self.shared.connections.lock().unwrap().drain(..) {
-            if let Err(panic) = conn.join() {
-                result = Err(panic);
-            }
-        }
-        if result.is_ok() && self.shared.reaped_panic.load(Ordering::SeqCst) {
-            result = Err(Box::new("a connection thread panicked (reaped mid-run)"));
-        }
-        result
+        result.and(self.shared.door.join())
     }
 
     /// Convenience for tests and the CLI: shut down, then join.
@@ -631,318 +606,12 @@ impl ServerHandle {
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener, job_tx: &mpsc::SyncSender<Job>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Request/response in single lines: never wait on Nagle.
-                stream.set_nodelay(true).ok();
-                let conn_shared = shared.clone();
-                let job_tx = job_tx.clone();
-                let conn = std::thread::Builder::new()
-                    .name("pitex-conn".to_string())
-                    .spawn(move || serve_connection(&conn_shared, stream, &job_tx));
-                match conn {
-                    Ok(handle) => register_connection(shared, handle),
-                    Err(_) => { /* thread spawn failed: drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-    // Dropping our job_tx clone lets workers observe disconnect once every
-    // connection thread has dropped theirs too.
-}
-
-/// Tracks a spawned connection thread for `join`, reaping the finished
-/// ones as it goes so a long-lived server over many short connections does
-/// not accumulate JoinHandles forever.
-fn register_connection(shared: &Arc<Shared>, handle: JoinHandle<()>) {
-    let mut conns = shared.connections.lock().unwrap();
-    let mut live = Vec::with_capacity(conns.len() + 1);
-    for conn in conns.drain(..) {
-        if conn.is_finished() {
-            if conn.join().is_err() {
-                shared.reaped_panic.store(true, Ordering::SeqCst);
-            }
-        } else {
-            live.push(conn);
-        }
-    }
-    live.push(handle);
-    *conns = live;
-}
-
-/// What the first bytes of a fresh connection revealed about its protocol.
-enum Sniffed {
-    /// The 4-byte `PFRM` magic: a binary pipelined client. Carries the
-    /// sniffed bytes — they are the head of the first frame.
-    Binary(Vec<u8>),
-    /// Anything else — the text protocol or an HTTP `GET`. Carries the
-    /// sniffed bytes to re-chain in front of the stream.
-    Text(Vec<u8>),
-    /// Closed (or the server is stopping) before the protocol was decided.
-    Closed,
-}
-
-/// Reads at most 4 bytes to classify a connection's protocol. One
-/// mismatching byte decides `Text` immediately, so a text client's first
-/// request is never delayed waiting for 4 bytes to accumulate.
-fn sniff(shared: &Shared, mut stream: &TcpStream) -> Sniffed {
-    let mut buf = [0u8; 4];
-    let mut got = 0;
-    loop {
-        if !could_be_frame(&buf[..got]) {
-            return Sniffed::Text(buf[..got].to_vec());
-        }
-        if got == buf.len() {
-            return Sniffed::Binary(buf.to_vec());
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 { Sniffed::Closed } else { Sniffed::Text(buf[..got].to_vec()) }
-            }
-            Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Sniffed::Closed;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Sniffed::Closed,
-        }
-    }
-}
-
-/// Entry point of a thread-per-connection client: sniff the protocol from
-/// the first bytes, then run the matching loop.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSender<Job>) {
-    // Short read timeouts keep the thread responsive to shutdown while the
-    // client is idle.
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    match sniff(shared, &stream) {
-        Sniffed::Binary(head) => binary_connection_loop(shared, stream, head, job_tx),
-        Sniffed::Text(head) => connection_loop(shared, stream, head, job_tx),
-        Sniffed::Closed => {}
-    }
-}
-
-/// Reads an env knob that is a positive integer, with a default.
-fn env_knob(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
-}
-
-/// Max `IoSlice`s handed to one `write_vectored` call
-/// (`PITEX_SERVE_WRITEV_BATCH`). Linux caps a single writev at `IOV_MAX`
-/// (1024) slices; staying well under it keeps each syscall's copy bounded.
-fn writev_batch() -> usize {
-    env_knob("PITEX_SERVE_WRITEV_BATCH", 64)
-}
-
-/// Writes every frame, vectored, at most `batch` slices per syscall.
-/// On failure returns how many frames were **not** fully written — they are
-/// completed replies with nowhere to go, which the caller books under
-/// `conn_aborted`.
-fn write_frames(writer: &mut impl Write, frames: &[Vec<u8>], batch: usize) -> Result<(), usize> {
-    let mut idx = 0; // first frame not fully written
-    let mut off = 0; // bytes of frames[idx] already written
-    while idx < frames.len() {
-        let mut slices = Vec::with_capacity(batch.min(frames.len() - idx));
-        slices.push(IoSlice::new(&frames[idx][off..]));
-        for frame in frames[idx + 1..].iter().take(batch - 1) {
-            slices.push(IoSlice::new(frame));
-        }
-        let mut written = match writer.write_vectored(&slices) {
-            Ok(0) => return Err(frames.len() - idx),
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(frames.len() - idx),
-        };
-        while written > 0 {
-            let remaining = frames[idx].len() - off;
-            if written >= remaining {
-                written -= remaining;
-                idx += 1;
-                off = 0;
-            } else {
-                off += written;
-                written = 0;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The blocking binary-protocol loop: the pipelined `PFRM` path for
-/// servers running without the event loop (env-disabled or no epoll).
-///
-/// Each pass handles one readable **burst**: every complete frame buffered
-/// so far is admitted in one sweep — queries are dispatched to the worker
-/// pool *concurrently* (their replies collected afterwards, preserving the
-/// pipelining win), other verbs are handled inline — and every completed
-/// reply is flushed with a single vectored write.
-fn binary_connection_loop(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    head: Vec<u8>,
-    job_tx: &mpsc::SyncSender<Job>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let batch = writev_batch();
-    let mut frames = FrameBuf::new(MAX_REQUEST_FRAME_BYTES);
-    frames.extend(&head);
-    let mut reader = stream;
-    let mut buf = [0u8; 16 * 1024];
-    let mut snapshot = shared.store.current();
-    let mut eof = false;
-    loop {
-        // Re-pin the snapshot when a swap landed since the last burst.
-        if shared.store.epoch() != snapshot.epoch {
-            snapshot = shared.store.current();
-        }
-        // Admit the whole burst: dispatch every query before collecting
-        // any reply, so the pool works them in parallel.
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        let mut pending: Vec<(u64, QueryCtx, mpsc::Receiver<WorkerReply>)> = Vec::new();
-        let mut close = false;
-        while !close {
-            let payload = match frames.next_payload() {
-                Ok(Some(payload)) => payload,
-                Ok(None) => break,
-                Err(FrameError::Oversized { len, cap }) => {
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("frame payload of {len} bytes exceeds {cap} bytes"),
-                    };
-                    out.push(frame::encode_response(0, &response));
-                    close = true;
-                    break;
-                }
-                Err(_) => {
-                    // Desynchronized mid-stream: no reply can be framed
-                    // reliably, so just close.
-                    shared.counters.errors.inc();
-                    close = true;
-                    break;
-                }
-            };
-            match frame::decode_request(&payload) {
-                Ok((id, Request::Query(q))) => {
-                    shared.counters.requests.inc();
-                    match prepare_query(shared, &snapshot, &q) {
-                        PreparedQuery::Ready(response) => {
-                            out.push(frame::encode_response(id, &response));
-                        }
-                        PreparedQuery::Dispatch(ctx) => {
-                            let (reply_tx, reply_rx) = mpsc::sync_channel::<WorkerReply>(1);
-                            let job = Job {
-                                user: ctx.user,
-                                k: ctx.k,
-                                backend: ctx.resolved,
-                                deadline: ctx.deadline,
-                                enqueued: Instant::now(),
-                                reply: ReplySink::Sync(reply_tx),
-                            };
-                            match job_tx.try_send(job) {
-                                Ok(()) => pending.push((id, ctx, reply_rx)),
-                                Err(_) => {
-                                    out.push(frame::encode_response(id, &shed_query(shared, &ctx)));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((id, request)) => match handle_request(shared, &snapshot, request, job_tx) {
-                    Handled::Reply(response, close_after) => {
-                        out.push(frame::encode_response(id, &response));
-                        close |= close_after;
-                    }
-                    Handled::Raw(text) => out.push(frame::encode_raw_response(id, &text)),
-                },
-                Err(e) => {
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("malformed binary request: {e}"),
-                    };
-                    out.push(frame::encode_response(frame::payload_id(&payload), &response));
-                }
-            }
-        }
-        for (id, ctx, reply_rx) in pending {
-            let response = match reply_rx.recv() {
-                Ok(reply) => complete_query(shared, &ctx, reply),
-                Err(mpsc::RecvError) => abandoned_query(shared, &ctx),
-            };
-            out.push(frame::encode_response(id, &response));
-        }
-        if let Err(unflushed) = write_frames(&mut writer, &out, batch) {
-            // The client died mid-burst: the answers were computed but can
-            // never be delivered.
-            shared.counters.conn_aborted.add(unflushed as u64);
-            return;
-        }
-        if close || eof {
-            return;
-        }
-        // Refill: block (with the POLL timeout for stop checks) until the
-        // next burst arrives.
-        loop {
-            match reader.read(&mut buf) {
-                Ok(0) => {
-                    // Half-close: the client may still be reading replies,
-                    // so finish what is buffered before hanging up.
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    frames.extend(&buf[..n]);
-                    break;
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if shared.store.epoch() != snapshot.epoch {
-                        snapshot = shared.store.current();
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-}
-
 /// The background sampler: once per configured tick (`PITEX_OBS_TS_TICK_MS`)
-/// it snapshots every stats field into the rolling time-series rings. It
-/// sleeps in small increments so shutdown stays prompt, and it re-anchors
-/// after each sample instead of replaying boundaries it slept through — an
-/// idle machine that oversleeps gets one fresh sample, not a burst of
-/// stale ones. The serving hot path is untouched: workers keep bumping the
-/// same atomics they always have, and this thread reads them once a tick.
+/// it snapshots every stats field into the rolling time-series rings. The
+/// serving hot path is untouched: workers keep bumping the same atomics
+/// they always have, and this thread reads them once a tick.
 fn sampler_loop(shared: &Arc<Shared>) {
-    let tick = shared.obs.timeseries.options().tick;
-    let mut next = Instant::now() + tick;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(POLL.min(next - now));
-            continue;
-        }
-        let fields = stats_fields(shared);
-        shared.obs.timeseries.tick(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        next = Instant::now() + tick;
-    }
+    shared.obs.timeseries.run_sampler(shared.door.stop_flag(), || stats_fields(shared));
 }
 
 /// Why [`run_worker_epoch`] returned.
@@ -998,7 +667,7 @@ fn run_worker_epoch(
                 match received {
                     Ok(job) => job,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if shared.stop.load(Ordering::SeqCst) {
+                        if shared.door.stopping() {
                             return WorkerExit::Stop;
                         }
                         if shared.store.epoch() != snapshot.epoch {
@@ -1075,139 +744,8 @@ fn run_worker_epoch(
     }
 }
 
-/// The classic blocking text/HTTP loop. `head` holds the bytes the sniffer
-/// consumed before deciding the protocol; chaining them in front of the
-/// stream makes the hand-off invisible to the line reader.
-fn connection_loop(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    head: Vec<u8>,
-    job_tx: &mpsc::SyncSender<Job>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(Cursor::new(head).chain(stream));
-    let mut line = String::new();
-    let mut snapshot = shared.store.current();
-    loop {
-        // `line` may already hold a partial request from a timed-out read:
-        // `read_line` appends, so fragmented writes reassemble correctly.
-        // The per-line `take` budget makes even a continuously streaming
-        // newline-free client surface here once it exceeds the cap —
-        // without it, `read_line` would keep consuming (and buffering)
-        // as long as bytes arrive.
-        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match std::io::Read::take(&mut reader, budget).read_line(&mut line) {
-            Ok(0) => return, // client closed the connection
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if line.len() > MAX_LINE_BYTES {
-                    oversized_line_reply(shared, &mut writer);
-                    return;
-                }
-                // Re-pin on the idle path too: without this a silent
-                // connection would keep the superseded model + index
-                // snapshot alive arbitrarily long after a swap.
-                if shared.store.epoch() != snapshot.epoch {
-                    snapshot = shared.store.current();
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        if line.len() > MAX_LINE_BYTES {
-            oversized_line_reply(shared, &mut writer);
-            return;
-        }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        // HTTP auto-detection (the PSHM/PWRK magic-sniffing idiom): a GET
-        // request line on the protocol port becomes a one-shot scrape —
-        // answer and close, never entering the verb dispatch.
-        if let Some(path) = http::request_path(line.trim()) {
-            let path = path.to_string();
-            if http::drain_headers(&mut reader, &shared.stop) {
-                let _ = writer.write_all(http_get(shared, &path).as_bytes());
-            }
-            return;
-        }
-        // Re-pin the snapshot when a swap landed since the last request:
-        // one atomic load on the fast path, one Arc clone after a swap.
-        if shared.store.epoch() != snapshot.epoch {
-            snapshot = shared.store.current();
-        }
-        let handled = handle_line(shared, &snapshot, line.trim(), job_tx);
-        line.clear();
-        match handled {
-            Handled::Reply(response, close) => {
-                let mut out = response.to_line();
-                out.push('\n');
-                // One write per reply: a split line + '\n' would stall
-                // ~40ms on the peer's delayed ACK under Nagle.
-                if writer.write_all(out.as_bytes()).is_err() {
-                    return;
-                }
-                if close {
-                    return;
-                }
-            }
-            Handled::Raw(text) => {
-                if writer.write_all(text.as_bytes()).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// What one request line produced: a single-line [`Response`], or a raw
-/// multi-line payload written verbatim (the `METRICS` Prometheus
-/// exposition, whose `# EOF` terminator stands in for the line protocol's
-/// one-reply-per-line framing).
-enum Handled {
-    Reply(Response, bool),
-    Raw(String),
-}
-
-/// Tells an over-long-line client off once; the connection then closes.
-fn oversized_line_reply(shared: &Arc<Shared>, writer: &mut TcpStream) {
-    shared.counters.requests.inc();
-    shared.counters.errors.inc();
-    let response = Response::Err {
-        code: ErrorCode::BadRequest,
-        message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    };
-    let mut out = response.to_line();
-    out.push('\n');
-    let _ = writer.write_all(out.as_bytes());
-}
-
-/// Dispatches one request line; returns the reply and whether to close.
-fn handle_line(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    line: &str,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Handled {
-    match Request::parse(line) {
-        Ok(request) => handle_request(shared, snapshot, request, job_tx),
-        Err(reason) => {
-            shared.counters.requests.inc();
-            shared.counters.errors.inc();
-            Handled::Reply(Response::Err { code: ErrorCode::BadRequest, message: reason }, false)
-        }
-    }
-}
-
-/// Dispatches one parsed request — the shared verb switch behind the text
-/// loop, the blocking binary loop, and the event loop's slow lane.
+/// Dispatches one parsed request — the verb switch behind the front door's
+/// text and blocking binary loops and the event loop's slow lane.
 fn handle_request(
     shared: &Arc<Shared>,
     snapshot: &Snapshot,
@@ -1225,7 +763,7 @@ fn handle_request(
         Request::Ping => reply(Response::Pong, false),
         Request::Quit => reply(Response::Bye, true),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.door.stop();
             reply(Response::Bye, true)
         }
         Request::Stats => reply(Response::Stats(stats_reply(shared)), false),
@@ -1257,6 +795,64 @@ fn handle_request(
         Request::Discard => reply(handle_discard(shared), false),
         Request::Flight => reply(handle_flight(shared), false),
         Request::Capture(action) => reply(handle_capture(shared, action), false),
+    }
+}
+
+/// The shard as its front door sees it: the shared state plus the sending
+/// half of the worker queue.
+pub(crate) struct Shard {
+    shared: Arc<Shared>,
+    job_tx: mpsc::SyncSender<Job>,
+}
+
+impl Service for Shard {
+    fn call(&self, request: Request) -> Handled {
+        handle_request(&self.shared, &self.shared.store.current(), request, &self.job_tx)
+    }
+
+    fn call_run(&self, run: &[Request]) -> Vec<Response> {
+        let shared = &self.shared;
+        let snapshot = shared.store.current();
+        // Dispatch every query of the run before collecting any reply, so
+        // the pool works them in parallel.
+        let admitted: Vec<Option<Result<Queued, Response>>> = run
+            .iter()
+            .map(|request| match request {
+                Request::Query(q) => {
+                    shared.counters.requests.inc();
+                    Some(admit(shared, &snapshot, q, &self.job_tx))
+                }
+                _ => None,
+            })
+            .collect();
+        run.iter()
+            .zip(admitted)
+            .map(|(request, admitted)| match admitted {
+                Some(Ok(queued)) => queued.wait(shared),
+                Some(Err(answer)) => answer,
+                // `EXPLAIN` bypasses the cache and blocks for its own run.
+                None => match self.call(request.clone()) {
+                    Handled::Reply(response, _) => response,
+                    Handled::Raw(_) => unreachable!("a run holds only QUERY and EXPLAIN"),
+                },
+            })
+            .collect()
+    }
+
+    fn http_get(&self, path: &str) -> String {
+        http_get(&self.shared, path)
+    }
+
+    fn door(&self) -> &Door {
+        &self.shared.door
+    }
+
+    fn requests(&self) -> &Counter {
+        &self.shared.counters.requests
+    }
+
+    fn errors(&self) -> &Counter {
+        &self.shared.counters.errors
     }
 }
 
@@ -1342,16 +938,6 @@ fn count_error(shared: &Shared, code: ErrorCode, message: String) -> Response {
     };
     counter.inc();
     Response::Err { code, message }
-}
-
-/// The flight-recorder outcome tag for a ready-to-send response.
-fn outcome_of(response: &Response) -> &'static str {
-    match response {
-        Response::Busy => "busy",
-        Response::Err { code: ErrorCode::Deadline, .. } => "deadline",
-        Response::Err { .. } => "error",
-        _ => "ok",
-    }
 }
 
 /// Books one request summary into the flight recorder (and, past the
@@ -1498,7 +1084,7 @@ fn prepare_query(
     let admitted = match admit_query(shared, snapshot, q, &error) {
         Ok(admitted) => admitted,
         Err(response) => {
-            let outcome = outcome_of(&response);
+            let outcome = response.outcome();
             record_request(
                 shared,
                 trace_id,
@@ -1647,7 +1233,7 @@ fn complete_query(shared: &Shared, ctx: &QueryCtx, reply: WorkerReply) -> Respon
         ctx.k,
         ctx.requested,
         backend,
-        outcome_of(&response),
+        response.outcome(),
         us,
         &[],
         0.0,
@@ -1667,7 +1253,7 @@ fn abandoned_query(shared: &Shared, ctx: &QueryCtx) -> Response {
         ctx.k,
         ctx.requested,
         ctx.resolved.cli_name(),
-        outcome_of(&response),
+        response.outcome(),
         us,
         &[],
         0.0,
@@ -1675,17 +1261,25 @@ fn abandoned_query(shared: &Shared, ctx: &QueryCtx) -> Response {
     response
 }
 
-fn handle_query(
+/// A query handed to the worker pool whose reply this thread awaits.
+struct Queued {
+    ctx: QueryCtx,
+    reply: mpsc::Receiver<WorkerReply>,
+}
+
+/// Admits one `QUERY`: `Err` is an answer already in hand (an error, a
+/// cache hit, or the `BUSY` of a full queue), `Ok` a job on the queue.
+fn admit(
     shared: &Arc<Shared>,
     snapshot: &Snapshot,
-    q: crate::protocol::QueryRequest,
+    q: &crate::protocol::QueryRequest,
     job_tx: &mpsc::SyncSender<Job>,
-) -> Response {
-    let ctx = match prepare_query(shared, snapshot, &q) {
-        PreparedQuery::Ready(response) => return response,
+) -> Result<Queued, Response> {
+    let ctx = match prepare_query(shared, snapshot, q) {
+        PreparedQuery::Ready(response) => return Err(response),
         PreparedQuery::Dispatch(ctx) => ctx,
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<WorkerReply>(1);
+    let (reply_tx, reply) = mpsc::sync_channel::<WorkerReply>(1);
     let job = Job {
         user: ctx.user,
         k: ctx.k,
@@ -1695,15 +1289,28 @@ fn handle_query(
         reply: ReplySink::Sync(reply_tx),
     };
     match job_tx.try_send(job) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-            return shed_query(shared, &ctx);
+        Ok(()) => Ok(Queued { ctx, reply }),
+        Err(_) => Err(shed_query(shared, &ctx)),
+    }
+}
+
+impl Queued {
+    /// Blocks for the worker's reply and completes the query.
+    fn wait(self, shared: &Shared) -> Response {
+        match self.reply.recv() {
+            Ok(reply) => complete_query(shared, &self.ctx, reply),
+            Err(mpsc::RecvError) => abandoned_query(shared, &self.ctx),
         }
     }
-    match reply_rx.recv() {
-        Ok(reply) => complete_query(shared, &ctx, reply),
-        Err(mpsc::RecvError) => abandoned_query(shared, &ctx),
-    }
+}
+
+fn handle_query(
+    shared: &Arc<Shared>,
+    snapshot: &Snapshot,
+    q: crate::protocol::QueryRequest,
+    job_tx: &mpsc::SyncSender<Job>,
+) -> Response {
+    admit(shared, snapshot, &q, job_tx).map_or_else(|answer| answer, |queued| queued.wait(shared))
 }
 
 /// `EXPLAIN`: run the query exactly like `QUERY` would, but bypass the
@@ -1722,7 +1329,7 @@ fn handle_explain(
     let admitted = match admit_query(shared, snapshot, &q, &error) {
         Ok(admitted) => admitted,
         Err(response) => {
-            let outcome = outcome_of(&response);
+            let outcome = response.outcome();
             record_request(
                 shared,
                 trace_id,
@@ -1753,7 +1360,7 @@ fn handle_explain(
         Ok(done) => done,
         Err(response) => {
             let us = admitted.accepted.elapsed().as_micros() as u64;
-            let outcome = outcome_of(&response);
+            let outcome = response.outcome();
             record_request(
                 shared,
                 trace_id,
@@ -1821,7 +1428,7 @@ fn handle_trace(
         Ok(admitted) => admitted,
         Err(response) => {
             let us = recorder.offset_us(Instant::now());
-            let outcome = outcome_of(&response);
+            let outcome = response.outcome();
             record_request(
                 shared,
                 trace_id,
@@ -1880,7 +1487,7 @@ fn handle_trace(
         Ok(done) => done,
         Err(response) => {
             let us = recorder.offset_us(Instant::now());
-            let outcome = outcome_of(&response);
+            let outcome = response.outcome();
             record_request(
                 shared,
                 trace_id,
@@ -2524,9 +2131,11 @@ fn stats_fields(shared: &Shared) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame;
     use crate::protocol::QueryRequest;
     use pitex_core::PitexConfig;
     use pitex_model::TicModel;
+    use std::net::TcpStream;
 
     fn paper_handle() -> EngineHandle {
         EngineHandle::new(
@@ -2592,30 +2201,9 @@ mod tests {
 
     #[test]
     fn http_get_is_sniffed_on_the_protocol_port() {
-        use std::io::Read;
         let server =
             Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
-        let scrape = |request: &str| -> String {
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream.write_all(request.as_bytes()).unwrap();
-            let mut reply = String::new();
-            stream.read_to_string(&mut reply).unwrap();
-            reply
-        };
-        let metrics = scrape("GET /metrics HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n");
-        assert!(metrics.starts_with("HTTP/1.0 200 OK\r\n"), "{metrics}");
-        assert!(metrics.contains("pitex_requests"), "{metrics}");
-        assert!(metrics.trim_end().ends_with("# EOF"), "{metrics}");
-        let health = scrape("GET /health HTTP/1.0\r\n\r\n");
-        assert!(health.starts_with("HTTP/1.0 200 OK\r\n"), "{health}");
-        assert!(health.contains("\"status\":\"ok\""), "{health}");
-        let missing = scrape("GET /series HTTP/1.0\r\n\r\n");
-        assert!(missing.starts_with("HTTP/1.0 400"), "{missing}");
-        let lost = scrape("GET /frobnicate HTTP/1.0\r\n\r\n");
-        assert!(lost.starts_with("HTTP/1.0 404"), "{lost}");
-        // The line protocol is untouched on the same port.
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        assert_eq!(roundtrip(&mut stream, "PING"), Response::Pong);
+        crate::frontdoor_checks::http_get_is_sniffed_on_the_protocol_port(server.addr());
         server.stop().unwrap();
     }
 
@@ -2623,20 +2211,7 @@ mod tests {
     fn fragmented_request_lines_reassemble() {
         let server =
             Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // Split one request across two writes with a pause longer than the
-        // server's read-poll interval: the partial line must survive the
-        // timed-out read (interactive `telnet` sessions type this slowly).
-        stream.write_all(b"QUE").unwrap();
-        std::thread::sleep(POLL * 3);
-        stream.write_all(b"RY 0 2\n").unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        let Response::Ok(reply) = Response::parse(&reply).unwrap() else {
-            panic!("fragmented request must still answer OK, got {reply:?}")
-        };
-        assert_eq!(reply.tags, vec![2, 3]);
+        crate::frontdoor_checks::fragmented_request_lines_reassemble(server.addr());
         server.stop().unwrap();
     }
 
@@ -2644,22 +2219,7 @@ mod tests {
     fn oversized_request_line_is_rejected_and_disconnected() {
         let server =
             Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // A newline-free flood must not grow server memory: one ERR, then
-        // the connection closes.
-        stream.write_all(&vec![b'Q'; MAX_LINE_BYTES + 1000]).unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        match Response::parse(&reply).unwrap() {
-            Response::Err { code, message } => {
-                assert_eq!(code, ErrorCode::BadRequest);
-                assert!(message.contains("exceeds"));
-            }
-            other => panic!("expected ERR, got {other:?}"),
-        }
-        reply.clear();
-        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "server closed the connection");
+        crate::frontdoor_checks::oversized_request_line_is_rejected_and_disconnected(server.addr());
         server.stop().unwrap();
     }
 
@@ -2667,26 +2227,7 @@ mod tests {
     fn continuously_streaming_client_is_cut_off() {
         let server =
             Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        // Stream newline-free bytes without pausing; the per-line read
-        // budget must cut this off at the cap rather than buffering it.
-        let feeder = std::thread::spawn(move || {
-            let chunk = [b'X'; 1024];
-            for _ in 0..1024 {
-                if writer.write_all(&chunk).is_err() {
-                    break; // server hung up on us, as it should
-                }
-            }
-        });
-        let mut reader = std::io::BufReader::new(stream);
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        match Response::parse(&reply).unwrap() {
-            Response::Err { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
-            other => panic!("expected ERR, got {other:?}"),
-        }
-        feeder.join().unwrap();
+        crate::frontdoor_checks::continuously_streaming_client_is_cut_off(server.addr());
         server.stop().unwrap();
     }
 
@@ -3071,8 +2612,7 @@ mod tests {
         }
     }
 
-    fn binary_roundtrips(options: ServeOptions) {
-        let server = Server::spawn(paper_handle(), ("127.0.0.1", 0), options).unwrap();
+    fn binary_roundtrips(server: ServerHandle) {
         let mut client = crate::client::ServeClient::connect_binary(server.addr()).unwrap();
         client.ping().unwrap();
         let Response::Ok(reply) = client.query(0, 2).unwrap() else { panic!("expected OK") };
@@ -3094,12 +2634,45 @@ mod tests {
 
     #[test]
     fn binary_protocol_round_trips_on_the_event_loop() {
-        binary_roundtrips(ServeOptions { event_loop: Some(true), ..ServeOptions::default() });
+        let options = ServeOptions::default();
+        binary_roundtrips(Server::spawn(paper_handle(), ("127.0.0.1", 0), options).unwrap());
     }
 
     #[test]
     fn binary_protocol_round_trips_on_the_blocking_acceptor() {
-        binary_roundtrips(ServeOptions { event_loop: Some(false), ..ServeOptions::default() });
+        // The front end platforms without epoll fall back to.
+        let blocking = |shard, listener| crate::frontend::serve(shard, listener);
+        let options = ServeOptions::default();
+        let server = Server::spawn_on(paper_handle(), ("127.0.0.1", 0), options, blocking);
+        binary_roundtrips(server.unwrap());
+    }
+
+    #[test]
+    fn blocking_acceptor_answers_a_mixed_run_in_order() {
+        let blocking = |shard, listener| crate::frontend::serve(shard, listener);
+        let options = ServeOptions::default();
+        let server = Server::spawn_on(paper_handle(), ("127.0.0.1", 0), options, blocking).unwrap();
+        let mut client = crate::client::ServeClient::connect_binary(server.addr()).unwrap();
+        // One run of four reads, then a verb that ends it.
+        let batch = [
+            Request::Query(QueryRequest::new(0, 2)),
+            Request::Explain(QueryRequest::new(1, 2)),
+            Request::Query(QueryRequest::new(99, 2)),
+            Request::Query(QueryRequest::new(0, 2)),
+            Request::Ping,
+        ];
+        let replies = client.pipeline(&batch).unwrap();
+        let Response::Ok(miss) = &replies[0] else { panic!("{replies:?}") };
+        assert_eq!((miss.tags.as_slice(), miss.cached), (&[2, 3][..], false));
+        let Response::Explained(explained) = &replies[1] else { panic!("{replies:?}") };
+        assert_eq!(explained.user, 1);
+        assert!(matches!(replies[2], Response::Err { code: ErrorCode::UnknownUser, .. }));
+        let Response::Ok(again) = &replies[3] else { panic!("{replies:?}") };
+        assert_eq!(again.tags, vec![2, 3]);
+        assert_eq!(replies[4], Response::Pong);
+        // Each request counts once; STATS counts itself.
+        assert_eq!(client.stats().unwrap().get_u64("requests"), Some(6));
+        server.stop().unwrap();
     }
 
     #[test]
@@ -3160,27 +2733,9 @@ mod tests {
 
     #[test]
     fn oversized_frame_answers_one_err_and_disconnects() {
-        use std::io::Write;
         let server =
             Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let oversized = (MAX_REQUEST_FRAME_BYTES + 1) as u32;
-        let mut header = Vec::from(crate::frame::MAGIC);
-        header.extend_from_slice(&oversized.to_le_bytes());
-        stream.write_all(&header).unwrap();
-        let mut frames = crate::frame::FrameBuf::new(crate::frame::MAX_REPLY_FRAME_BYTES);
-        let (id, reply) = read_frame(&mut stream, &mut frames).expect("one ERR before the cut");
-        assert_eq!(id, 0, "no request id is recoverable from an oversized frame");
-        match reply {
-            crate::frame::WireReply::Response(Response::Err { code, .. }) => {
-                assert_eq!(code, ErrorCode::BadRequest)
-            }
-            other => panic!("expected ERR, got {other:?}"),
-        }
-        assert!(
-            read_frame(&mut stream, &mut frames).is_none(),
-            "server hangs up after the oversized frame"
-        );
+        crate::frontdoor_checks::oversized_frame_answers_one_err_and_disconnects(server.addr());
         server.stop().unwrap();
     }
 
@@ -3188,16 +2743,15 @@ mod tests {
     fn near_magic_garbage_falls_back_to_text() {
         let server =
             Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
-        // "PF" matches the magic's first two bytes; the third diverges, so
-        // the sniffer must route the connection to the text protocol —
-        // which then rejects the line as an unknown verb.
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let Response::Err { code, .. } = roundtrip(&mut stream, "PFOO") else {
-            panic!("expected ERR")
-        };
-        assert_eq!(code, ErrorCode::BadRequest);
-        // The connection is still a working text session.
-        assert_eq!(roundtrip(&mut stream, "PING"), Response::Pong);
+        crate::frontdoor_checks::near_magic_garbage_falls_back_to_text(server.addr());
+        server.stop().unwrap();
+    }
+
+    #[test]
+    fn fresh_connections_are_served_promptly() {
+        let server =
+            Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+        crate::frontdoor_checks::fresh_connections_are_served_promptly(server.addr());
         server.stop().unwrap();
     }
 

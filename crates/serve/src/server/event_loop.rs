@@ -1,23 +1,23 @@
 //! The readiness-driven event-loop front end.
 //!
-//! One `pitex-evloop` thread owns the listener and every pipelined binary
+//! The `pitex-front` thread owns the listener and every pipelined binary
 //! connection behind an epoll-backed poller (the vendored [`polling`]
 //! shim), registered **level-triggered**: interest stays armed across
 //! deliveries, so the steady-state round trip costs no `epoll_ctl` at all
 //! — the loop caches each connection's armed interest and issues a
 //! `modify` only when it actually changes (a partial write, a drain, a
 //! close). Text-protocol and HTTP clients are *sniffed* off the
-//! first bytes and handed to the classic blocking per-connection threads,
-//! so both protocols coexist on one port and the battle-tested text path
-//! is untouched; binary `PFRM` clients stay on the loop with a
-//! non-blocking per-connection state machine:
+//! first bytes and handed to the [`crate::frontend`] line loop on threads
+//! of their own, so every protocol shares one port; binary `PFRM` clients
+//! stay on the loop with a non-blocking per-connection state machine:
 //!
 //! * **Batch admission** — a readable burst is drained into the frame
 //!   buffer and every complete frame is admitted in one pass: `PING` and
 //!   cache hits answer inline, cache-miss queries dispatch to the worker
 //!   pool with an [`EventSink`] (no thread blocks per in-flight request),
 //!   and every other verb goes to the slow-lane thread so a long admin
-//!   fold can never stall the loop.
+//!   fold can never stall the loop. Frames that cannot be served get the
+//!   front door's replies (oversized: one `ERR`, then close).
 //! * **Completion queue** — workers finish queries on their own threads
 //!   (cache insert, counters, flight record — see
 //!   [`super::complete_query`]), encode the reply frame, and push it to a
@@ -26,31 +26,39 @@
 //!   counted under `conn_aborted` — keys are monotonically assigned and
 //!   never reused, so a late reply can never reach the wrong client.
 //! * **Vectored flush** — all queued reply frames for a connection are
-//!   written with as few `writev` calls as possible
-//!   (`PITEX_SERVE_WRITEV_BATCH` slices per call).
+//!   written with as few `writev` calls as possible ([`WRITEV_BATCH`]
+//!   slices per call).
 //!
-//! The loop caps per-connection pipelining at `PITEX_SERVE_PIPELINE`
+//! The loop caps per-connection pipelining at [`DEFAULT_PIPELINE_CAP`]
 //! in-flight queries; past that, further queries in the burst shed as
 //! `BUSY` exactly like a full worker queue would.
+//!
+//! Where the platform has no epoll (`Poller::new` fails) or the listener
+//! cannot be registered, the shard serves every protocol through the
+//! [`crate::frontend`] blocking acceptor instead.
 
 use super::{
-    acceptor_loop, complete_query, connection_loop, env_knob, handle_request, prepare_query,
-    register_connection, shed_query, writev_batch, Handled, Job, PreparedQuery, QueryCtx,
-    ReplySink, Shared, WorkerReply, DEFAULT_PIPELINE_CAP, POLL,
+    complete_query, prepare_query, shed_query, Job, PreparedQuery, QueryCtx, ReplySink, Shard,
+    Shared, WorkerReply, DEFAULT_PIPELINE_CAP,
 };
-use crate::frame::{self, could_be_frame, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
+use crate::frame::{self, could_be_frame, FrameBuf, MAX_REQUEST_FRAME_BYTES};
+use crate::frontend::{self, Handled, Service, POLL};
 use crate::protocol::{ErrorCode, Request, Response};
 use pitex_live::Snapshot;
 use polling::{Event, Events, PollMode, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The poller key reserved for the listener; connections start at 1.
 const LISTENER_KEY: usize = 0;
+
+/// Max `IoSlice`s handed to one `write_vectored` call. Linux caps a single
+/// writev at `IOV_MAX` (1024) slices; staying well under it keeps each
+/// syscall's copy bounded.
+const WRITEV_BATCH: usize = 64;
 
 /// What worker threads and the slow lane share with the loop: the poller
 /// (for `notify`) and the completed-reply queue.
@@ -131,7 +139,7 @@ struct SlowTask {
 struct Conn {
     stream: TcpStream,
     /// First bytes while the protocol is still undecided.
-    sniff: Vec<u8>,
+    head: Vec<u8>,
     sniffing: bool,
     frames: FrameBuf,
     /// Completed reply frames not yet (fully) written.
@@ -159,7 +167,7 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            sniff: Vec::with_capacity(4),
+            head: Vec::with_capacity(4),
             sniffing: true,
             frames: FrameBuf::new(MAX_REQUEST_FRAME_BYTES),
             out: VecDeque::new(),
@@ -175,12 +183,9 @@ impl Conn {
 
 /// Loop-wide context threaded through the per-connection handlers.
 struct LoopCtx<'a> {
-    shared: &'a Arc<Shared>,
+    service: &'a Arc<Shard>,
     lp: &'a Arc<LoopShared>,
-    job_tx: &'a mpsc::SyncSender<Job>,
     slow_tx: &'a mpsc::Sender<SlowTask>,
-    pipeline_cap: usize,
-    batch: usize,
 }
 
 /// What one connection event resolved to.
@@ -193,43 +198,33 @@ enum Outcome {
     Drop,
 }
 
-/// Runs the event loop until shutdown. Falls back to the classic
-/// thread-per-connection acceptor when the platform has no poller.
-pub(super) fn run(shared: &Arc<Shared>, listener: TcpListener, job_tx: &mpsc::SyncSender<Job>) {
-    let poller = match Poller::new() {
-        Ok(poller) => poller,
-        Err(_) => return acceptor_loop(shared, &listener, job_tx),
-    };
+/// Runs the event loop until shutdown, or the blocking front end where
+/// the platform has no poller.
+pub(super) fn run(service: Arc<Shard>, listener: TcpListener) {
+    let Ok(poller) = Poller::new() else { return frontend::serve(service, listener) };
     let lp = Arc::new(LoopShared { poller, completions: Mutex::new(Vec::new()) });
     // Level-triggered: as long as accepts are drained to `WouldBlock`
     // (they are — see `accept_burst`), the listener never needs re-arming.
     if unsafe { lp.poller.add_with_mode(&listener, Event::readable(LISTENER_KEY), PollMode::Level) }
         .is_err()
     {
-        return acceptor_loop(shared, &listener, job_tx);
+        return frontend::serve(service, listener);
     }
+    let shared = &service.shared;
 
     let (slow_tx, slow_rx) = mpsc::channel::<SlowTask>();
     {
-        let slow_shared = shared.clone();
+        let service = service.clone();
         let lp = lp.clone();
-        let job_tx = job_tx.clone();
         if let Ok(handle) = std::thread::Builder::new()
             .name("pitex-slowlane".to_string())
-            .spawn(move || slow_lane(&slow_shared, &lp, &slow_rx, &job_tx))
+            .spawn(move || slow_lane(&service, &lp, &slow_rx))
         {
-            register_connection(shared, handle);
+            shared.door.register(handle);
         }
     }
 
-    let ctx = LoopCtx {
-        shared,
-        lp: &lp,
-        job_tx,
-        slow_tx: &slow_tx,
-        pipeline_cap: env_knob("PITEX_SERVE_PIPELINE", DEFAULT_PIPELINE_CAP),
-        batch: writev_batch(),
-    };
+    let ctx = LoopCtx { service: &service, lp: &lp, slow_tx: &slow_tx };
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = LISTENER_KEY + 1;
     let mut events = Events::new();
@@ -238,7 +233,7 @@ pub(super) fn run(shared: &Arc<Shared>, listener: TcpListener, job_tx: &mpsc::Sy
     loop {
         events.clear();
         let _ = lp.poller.wait(&mut events, Some(POLL));
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.door.stopping() {
             // A binary SHUTDOWN's BYE rides the completion queue and may
             // not have been drained yet — deliver what is (or is about to
             // be) queued and flush before going down, so binary clients
@@ -280,7 +275,7 @@ pub(super) fn run(shared: &Arc<Shared>, listener: TcpListener, job_tx: &mpsc::Sy
                 Outcome::HandOffText => {
                     let conn = conns.remove(&event.key).expect("present above");
                     let _ = lp.poller.delete(&conn.stream);
-                    hand_off_text(shared, conn, job_tx);
+                    frontend::hand_off_text(&service, conn.stream, conn.head);
                 }
                 Outcome::Drop => drop_conn(&ctx, &mut conns, event.key),
             }
@@ -315,24 +310,18 @@ fn shutdown_flush(ctx: &LoopCtx<'_>, conns: &mut HashMap<usize, Conn>) {
         std::thread::sleep(Duration::from_millis(1));
     }
     for conn in conns.values_mut() {
-        let _ = try_flush(conn, ctx.batch);
+        let _ = try_flush(conn);
     }
 }
 
-/// The slow-lane thread: runs every non-query verb against a fresh
-/// snapshot with the same blocking handler the text protocol uses, then
-/// queues the encoded reply back to the loop.
-fn slow_lane(
-    shared: &Arc<Shared>,
-    lp: &Arc<LoopShared>,
-    slow_rx: &mpsc::Receiver<SlowTask>,
-    job_tx: &mpsc::SyncSender<Job>,
-) {
+/// The slow-lane thread: runs every non-query verb through the same
+/// [`Service::call`] the text protocol uses, then queues the encoded reply
+/// back to the loop.
+fn slow_lane(service: &Shard, lp: &Arc<LoopShared>, slow_rx: &mpsc::Receiver<SlowTask>) {
     loop {
         match slow_rx.recv_timeout(POLL) {
             Ok(task) => {
-                let snapshot = shared.store.current();
-                let completion = match handle_request(shared, &snapshot, task.request, job_tx) {
+                let completion = match service.call(task.request) {
                     Handled::Reply(response, close) => Completion {
                         key: task.key,
                         frame: frame::encode_response(task.id, &response),
@@ -347,7 +336,7 @@ fn slow_lane(
                 lp.push(completion);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
+                if service.shared.door.stopping() {
                     return;
                 }
             }
@@ -409,13 +398,13 @@ fn conn_event(
                 }
                 Ok(n) => {
                     if conn.sniffing {
-                        conn.sniff.extend_from_slice(&buf[..n]);
-                        if !could_be_frame(&conn.sniff[..conn.sniff.len().min(4)]) {
+                        conn.head.extend_from_slice(&buf[..n]);
+                        if !could_be_frame(&conn.head[..conn.head.len().min(4)]) {
                             return Outcome::HandOffText;
                         }
-                        if conn.sniff.len() >= 4 {
+                        if conn.head.len() >= 4 {
                             // The magic is the head of the first frame.
-                            let head = std::mem::take(&mut conn.sniff);
+                            let head = std::mem::take(&mut conn.head);
                             conn.frames.extend(&head);
                             conn.sniffing = false;
                         }
@@ -441,7 +430,7 @@ fn conn_event(
             // the text path (which drops a torn trailing line, exactly as
             // the blocking server always has).
             if conn.eof {
-                return if conn.sniff.is_empty() { Outcome::Drop } else { Outcome::HandOffText };
+                return if conn.head.is_empty() { Outcome::Drop } else { Outcome::HandOffText };
             }
             return Outcome::Keep;
         }
@@ -455,27 +444,20 @@ fn conn_event(
 /// Admits every complete frame buffered on `conn` in one pass.
 /// Returns `false` when the stream desynchronized beyond recovery.
 fn process_frames(ctx: &LoopCtx<'_>, key: usize, conn: &mut Conn, snapshot: &Snapshot) -> bool {
-    let shared = ctx.shared;
+    let shared = &ctx.service.shared;
     while !conn.draining {
         let payload = match conn.frames.next_payload() {
             Ok(Some(payload)) => payload,
             Ok(None) => break,
-            Err(FrameError::Oversized { len, cap }) => {
-                // Mirror the oversized text line: one ERR, then disconnect.
-                shared.counters.requests.inc();
-                shared.counters.errors.inc();
-                let response = Response::Err {
-                    code: ErrorCode::BadRequest,
-                    message: format!("frame payload of {len} bytes exceeds {cap} bytes"),
+            Err(error) => {
+                // Oversized: one ERR, then disconnect. Desynchronized: drop.
+                let Some(reply) = frontend::frame_error_reply(ctx.service.as_ref(), error) else {
+                    return false;
                 };
-                conn.out.push_back(frame::encode_response(0, &response));
+                conn.out.push_back(reply);
                 conn.draining = true;
                 conn.close_after_flush = true;
                 break;
-            }
-            Err(_) => {
-                shared.counters.errors.inc();
-                return false;
             }
         };
         match frame::decode_request(&payload) {
@@ -490,7 +472,7 @@ fn process_frames(ctx: &LoopCtx<'_>, key: usize, conn: &mut Conn, snapshot: &Sna
                         conn.out.push_back(frame::encode_response(id, &response));
                     }
                     PreparedQuery::Dispatch(query_ctx) => {
-                        if conn.in_flight >= ctx.pipeline_cap {
+                        if conn.in_flight >= DEFAULT_PIPELINE_CAP {
                             let response = shed_query(shared, &query_ctx);
                             conn.out.push_back(frame::encode_response(id, &response));
                             continue;
@@ -510,7 +492,7 @@ fn process_frames(ctx: &LoopCtx<'_>, key: usize, conn: &mut Conn, snapshot: &Sna
                             enqueued: Instant::now(),
                             reply: ReplySink::Event(sink),
                         };
-                        match ctx.job_tx.try_send(job) {
+                        match ctx.service.job_tx.try_send(job) {
                             Ok(()) => conn.in_flight += 1,
                             Err(
                                 mpsc::TrySendError::Full(job)
@@ -536,7 +518,7 @@ fn process_frames(ctx: &LoopCtx<'_>, key: usize, conn: &mut Conn, snapshot: &Sna
                 // cap applies here too: without it one client could queue
                 // arbitrarily many expensive verbs and grow the slow-lane
                 // queue and reply buffers without backpressure.
-                if conn.in_flight >= ctx.pipeline_cap {
+                if conn.in_flight >= DEFAULT_PIPELINE_CAP {
                     shared.counters.requests.inc();
                     shared.counters.busy.inc();
                     conn.out.push_back(frame::encode_response(id, &Response::Busy));
@@ -559,34 +541,13 @@ fn process_frames(ctx: &LoopCtx<'_>, key: usize, conn: &mut Conn, snapshot: &Sna
                     conn.draining = true;
                 }
             }
-            Err(e) => {
-                shared.counters.requests.inc();
-                shared.counters.errors.inc();
-                let response = Response::Err {
-                    code: ErrorCode::BadRequest,
-                    message: format!("malformed binary request: {e}"),
-                };
-                conn.out.push_back(frame::encode_response(frame::payload_id(&payload), &response));
+            Err(error) => {
+                let reply = frontend::malformed_frame_reply(ctx.service.as_ref(), &payload, error);
+                conn.out.push_back(reply);
             }
         }
     }
     true
-}
-
-/// Hands a sniffed-as-text connection to a classic blocking thread.
-fn hand_off_text(shared: &Arc<Shared>, conn: Conn, job_tx: &mpsc::SyncSender<Job>) {
-    let Conn { stream, sniff, .. } = conn;
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let conn_shared = shared.clone();
-    let job_tx = job_tx.clone();
-    let handle = std::thread::Builder::new()
-        .name("pitex-conn".to_string())
-        .spawn(move || connection_loop(&conn_shared, stream, sniff, &job_tx));
-    if let Ok(handle) = handle {
-        register_connection(shared, handle);
-    }
 }
 
 /// Removes a dead connection, booking its undeliverable replies.
@@ -595,20 +556,20 @@ fn drop_conn(ctx: &LoopCtx<'_>, conns: &mut HashMap<usize, Conn>, key: usize) {
         // Queued-but-unwritten frames are completed replies with nowhere
         // to go; in-flight ones are counted when their completion finds
         // the key gone.
-        ctx.shared.counters.conn_aborted.add(conn.out.len() as u64);
+        ctx.service.shared.counters.conn_aborted.add(conn.out.len() as u64);
         let _ = ctx.lp.poller.delete(&conn.stream);
     }
 }
 
 /// Writes as much of `conn.out` as the socket accepts (vectored, at most
-/// `batch` slices per call). `Ok(true)` = fully drained.
-fn try_flush(conn: &mut Conn, batch: usize) -> std::io::Result<bool> {
+/// [`WRITEV_BATCH`] slices per call). `Ok(true)` = fully drained.
+fn try_flush(conn: &mut Conn) -> std::io::Result<bool> {
     while !conn.out.is_empty() {
-        let mut slices = Vec::with_capacity(batch.min(conn.out.len()));
+        let mut slices = Vec::with_capacity(WRITEV_BATCH.min(conn.out.len()));
         let mut iter = conn.out.iter();
         let front = iter.next().expect("non-empty");
         slices.push(IoSlice::new(&front[conn.out_off..]));
-        for frame in iter.take(batch - 1) {
+        for frame in iter.take(WRITEV_BATCH - 1) {
             slices.push(IoSlice::new(frame));
         }
         let mut written = match (&conn.stream).write_vectored(&slices) {
@@ -639,7 +600,7 @@ fn try_flush(conn: &mut Conn, batch: usize) -> std::io::Result<bool> {
 /// still reading) issues zero `epoll_ctl` calls.
 fn flush_and_rearm(ctx: &LoopCtx<'_>, conns: &mut HashMap<usize, Conn>, key: usize) {
     let Some(conn) = conns.get_mut(&key) else { return };
-    match try_flush(conn, ctx.batch) {
+    match try_flush(conn) {
         Ok(_) => {}
         Err(_) => return drop_conn(ctx, conns, key),
     }

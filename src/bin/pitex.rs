@@ -200,12 +200,11 @@ SHARDMAP: --replicas lists shards separated by ';', each shard its replica
           addresses separated by ','. A router is a drop-in single server:
           point `pitex client` at it unchanged.
 
-WIRE:     `client --binary` / `replay --binary` (or PITEX_CLIENT_BINARY=1)
-          speak the pipelined PFRM binary frame protocol; servers and
-          routers auto-detect text, binary and HTTP per connection on one
-          port. The router->shard hop is binary by default
-          (PITEX_CLUSTER_BINARY=0 reverts it). `client --bench
-          --binary --pipeline N` keeps N queries in flight per connection.
+WIRE:     `client --binary` / `replay --binary` speak the pipelined PFRM
+          binary frame protocol; servers and routers auto-detect text,
+          binary and HTTP per connection on one port. The router->shard
+          hop is always binary. `client --bench --binary --pipeline N`
+          keeps N queries in flight per connection.
 
 WAL:      `serve --wal DIR` persists every acknowledged UPDATE to an
           epoch-stamped log (fsynced before the ack); a restart replays it
@@ -523,8 +522,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         admin: !opts.contains_key("no-admin"),
         repair: repair_from_opts(opts)?,
         wal: opts.get("wal").map(std::path::PathBuf::from),
-        capture: None,    // read PITEX_OBS_CAPTURE from the environment
-        event_loop: None, // read PITEX_SERVE_EVENT_LOOP from the environment
+        capture: None, // read PITEX_OBS_CAPTURE from the environment
     };
     let server = Server::spawn(handle, ("127.0.0.1", port), options.clone())
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
@@ -1153,11 +1151,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Whether a serving-side command should speak the `PFRM` binary frames:
-/// the `--binary` flag, or `PITEX_CLIENT_BINARY` (any value but `0`).
+/// Whether a serving-side command should speak the `PFRM` binary frames
+/// (the `--binary` flag).
 fn binary_wire(opts: &Opts) -> bool {
     opts.contains_key("binary")
-        || std::env::var("PITEX_CLIENT_BINARY").map(|v| v != "0").unwrap_or(false)
 }
 
 fn cmd_client(opts: &Opts) -> Result<(), CliError> {
